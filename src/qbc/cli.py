@@ -86,6 +86,11 @@ def _parse_grid(raw: str) -> list[tuple[int, int, int]]:
     return rows
 
 
+def _require_at_least(flag: str, value: int, least: int):
+    if value < least:
+        raise GateError(f"{flag} must be at least {least}, got {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbc",
@@ -193,6 +198,7 @@ def _attack_y(args) -> np.ndarray:
 
 
 def cmd_attack(args) -> int:
+    _require_at_least("--trials", args.trials, 0)
     strategy = AttackStrategy(args.strategy)
     rng = derive_rng(args.seed, 1)
     if strategy is AttackStrategy.BIASED_INDEX:
@@ -213,6 +219,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_privacy(args) -> int:
+    _require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
         grid = _parse_grid(args.grid) if args.grid else RECOVERY_GRID
         table = privacy_table_recovery(grid)
@@ -224,6 +231,8 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_regression(args) -> int:
+    _require_at_least("--seeds", args.seeds, 1)
+    _require_at_least("--t", args.t, 1)
     check_cap(args.variant, index_width_for(args.n), args.t)
     scale = 1 << args.planes
     rows = []

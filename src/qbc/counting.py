@@ -1,20 +1,39 @@
 """Quantum counting: phase estimation over a Grover iterate.
 
 The Grover iterate G composes a caller-supplied phase oracle with the
-diffusion about the uniform index state. Controlled powers G**(2**k) are
-realized by repeating the controlled iterate, never by exponentiating a
-matrix, so a protocol can hop qubits between parties once per iterate
-and the communication ledger counts real channel uses.
+diffusion about the uniform index state. Powers of G are realized by
+repeating the iterate, never by exponentiating a matrix, so a protocol
+can hop qubits between parties once per iterate and the communication
+ledger counts real channel uses: 2**t - 1 iterates in all.
 
-Register layout: index qubits [0, n), readout register [n, n+t), work
-qubits after that. Readout qubit n+j controls G**(2**(t-1-j)), so the
-measured register reads big-endian as the integer j with
-theta_hat = 2*pi*j / 2**t.
+Block layout: index qubits [0, n), work qubits [n, n+w). Readout qubits
+act only as controls until the final Fourier transform, so they are
+added lazily. Readout qubit `pos` selects G**(2**(t-1-pos)); it joins as
+a new least significant qubit when its block of 2**(t-1-pos) iterates
+starts. Those iterates run once, uncontrolled, on a copy of the current
+state, and that copy becomes the half where the new readout bit is 1:
+
+    state <- (|0> state + |1> G**(2**(t-1-pos)) state) / sqrt(2)
+
+Every readout branch thus receives exactly the iterates its bits select,
+in the order a controlled circuit applies them, so an oracle whose
+phases change from call to call is simulated exactly, and each
+iterate's side effects (random draws, channel bookkeeping) happen once.
+After the last block the readout qubits [n+w, n+w+t) read big-endian as
+the power r in sum_r |r> G**r |psi> / sqrt(2**t). The inverse Fourier
+transform over that axis is an FFT, after which the register reads as
+the integer j with theta_hat = 2*pi*j / 2**t.
+
+The oracle is called with the copy it acts on: an (n+w+pos)-qubit state
+with the index and work qubits in place and the readout qubits joined
+so far trailing. Its work qubits must be clear after every iterate.
+The largest array is the final one of 2**(n+w+t) amplitudes, so a qubit
+cap on n+w+t still bounds memory.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +46,7 @@ from .statevector import (
     apply_gate,
 )
 
-Oracle = Callable[[StateVector, int | None], None]
+Oracle = Callable[[StateVector], None]
 
 
 @dataclass
@@ -36,7 +55,6 @@ class CountingConfig:
     precision: int
     oracle: Oracle
     work_qubits: int = 0
-    inverse_oracle: Oracle | None = None
 
     def __post_init__(self):
         if self.index_width < 1:
@@ -49,37 +67,13 @@ class CountingConfig:
         return tuple(range(self.index_width))
 
     @property
-    def readout_reg(self) -> tuple:
-        return tuple(range(self.index_width, self.index_width + self.precision))
-
-    @property
     def work_reg(self) -> tuple:
-        base = self.index_width + self.precision
-        return tuple(range(base, base + self.work_qubits))
+        return tuple(range(self.index_width, self.block_qubits))
 
     @property
-    def total_qubits(self) -> int:
-        return self.index_width + self.precision + self.work_qubits
-
-
-@dataclass(frozen=True)
-class OracleOp:
-    """Oracle invocation inside a circuit list, with its inverse for
-    reversal tests and the readout qubit controlling it."""
-
-    apply: Oracle
-    invert: Oracle
-    control: int | None
-
-    def inverse(self) -> "OracleOp":
-        return OracleOp(self.invert, self.apply, self.control)
-
-
-@dataclass(frozen=True)
-class WorkCheck:
-    """Marker: assert work qubits carry no residual excitation here."""
-
-    qubits: tuple
+    def block_qubits(self) -> int:
+        """Qubits the oracle acts on: the index register and the work qubits."""
+        return self.index_width + self.work_qubits
 
 
 @dataclass
@@ -107,34 +101,9 @@ def estimate_from_outcome(j: int, t: int) -> EstimateResult:
     )
 
 
-def diffusion_gates(index_reg, control: int | None) -> list[GateSpec]:
-    controls = () if control is None else (control,)
-    hs = [GateSpec("h", (q,), controls) for q in index_reg]
-    return hs + [GateSpec("reflect0", tuple(index_reg), controls)] + hs
-
-
-def build_counting_circuit(cfg: CountingConfig) -> list:
-    """Hadamards on the readout register, controlled Grover powers by
-    repetition (largest power on the top readout qubit), inverse Fourier
-    transform, with a work-purity check after every iterate."""
-    inverse = cfg.inverse_oracle if cfg.inverse_oracle is not None else cfg.oracle
-    ops: list = [GateSpec("h", (q,)) for q in cfg.readout_reg]
-    for pos, q in enumerate(cfg.readout_reg):
-        for _ in range(1 << (cfg.precision - 1 - pos)):
-            ops.append(OracleOp(cfg.oracle, inverse, q))
-            ops.extend(diffusion_gates(cfg.index_reg, q))
-            ops.append(WorkCheck(cfg.work_reg))
-    ops.append(GateSpec("iqft", cfg.readout_reg))
-    return ops
-
-
-def reverse_circuit(circuit: list) -> list:
-    out = []
-    for op in reversed(circuit):
-        if isinstance(op, WorkCheck):
-            continue
-        out.append(op.inverse())
-    return out
+def diffusion_gates(index_reg) -> list[GateSpec]:
+    hs = [GateSpec("h", (q,)) for q in index_reg]
+    return hs + [GateSpec("reflect0", tuple(index_reg))] + hs
 
 
 def work_leakage(state: StateVector, work_reg) -> float:
@@ -147,51 +116,57 @@ def work_leakage(state: StateVector, work_reg) -> float:
     return float(np.sum(np.abs(state.amps[hot]) ** 2))
 
 
-def run_circuit(state: StateVector, circuit: list, check_work: bool = True) -> StateVector:
-    for op in circuit:
-        if isinstance(op, GateSpec):
-            apply_gate(state, op)
-        elif isinstance(op, OracleOp):
-            op.apply(state, op.control)
-        elif isinstance(op, WorkCheck):
-            if check_work:
-                leak = work_leakage(state, op.qubits)
-                if leak > WORK_LEAK_ATOL:
-                    raise InvariantViolation(
-                        f"work qubits leaked {leak:.3e} probability after a Grover iterate"
-                    )
-        else:
-            raise TypeError(f"unknown circuit op {op!r}")
-    return state
+def _grover_iterate(cfg: CountingConfig, state: StateVector):
+    """One oracle call and diffusion, then a check that the work qubits
+    carry no residual excitation."""
+    cfg.oracle(state)
+    for gate in diffusion_gates(cfg.index_reg):
+        apply_gate(state, gate)
+    leak = work_leakage(state, cfg.work_reg)
+    if leak > WORK_LEAK_ATOL:
+        raise InvariantViolation(
+            f"work qubits leaked {leak:.3e} probability after a Grover iterate"
+        )
 
 
-def _prepared_state(cfg: CountingConfig, state: StateVector | None) -> StateVector:
+def _powers(cfg: CountingConfig, state: StateVector | None) -> np.ndarray:
+    """Amplitudes of sum_r |r> G**r |psi> / sqrt(2**t) from the uniform
+    index state, as a (block, readout) array: one readout block at a
+    time, each a branch copy that runs its iterates once."""
     if state is None:
-        state = StateVector(cfg.total_qubits)
-    elif state.num_qubits != cfg.total_qubits:
+        state = StateVector(cfg.block_qubits)
+    elif state.num_qubits != cfg.block_qubits:
         raise ValueError("state size does not match the counting configuration")
     for q in cfg.index_reg:
         state.h(q)
-    return state
+    amps = state.amps
+    for pos in range(cfg.precision):
+        branch = StateVector(cfg.block_qubits + pos, amps)
+        for _ in range(1 << (cfg.precision - 1 - pos)):
+            _grover_iterate(cfg, branch)
+        amps = np.stack([amps, branch.amps], axis=-1).ravel()
+        amps /= math.sqrt(2)
+    return amps.reshape(-1, 1 << cfg.precision)
 
 
 def counting_distribution(cfg: CountingConfig, state: StateVector | None = None) -> np.ndarray:
-    """Exact readout distribution of the full counting circuit, starting
-    from the uniform index state."""
-    state = _prepared_state(cfg, state)
-    run_circuit(state, build_counting_circuit(cfg))
-    return state.outcome_distribution(cfg.readout_reg)
+    """Exact readout distribution of the counting circuit, starting from
+    the uniform index state on `state` (the block, all |0> by default):
+    the inverse Fourier transform of the readout axis is an FFT."""
+    spectrum = np.fft.fft(_powers(cfg, state), axis=1)
+    return np.sum(np.abs(spectrum) ** 2, axis=0) / (1 << cfg.precision)
 
 
 def run_counting(
     cfg: CountingConfig, rng: np.random.Generator, state: StateVector | None = None
 ) -> EstimateResult:
-    """Simulate the counting circuit once and measure the readout."""
-    state = _prepared_state(cfg, state)
-    run_circuit(state, build_counting_circuit(cfg))
+    """Simulate the counting circuit once and measure the readout, most
+    significant bit first. The outcome depends only on the readout law,
+    so it is measured on a t-qubit state with amplitudes sqrt(law)."""
+    readout = StateVector(cfg.precision, np.sqrt(counting_distribution(cfg, state)))
     j = 0
-    for q in cfg.readout_reg:
-        j = (j << 1) | state.measure(q, rng)
+    for q in range(cfg.precision):
+        j = (j << 1) | readout.measure(q, rng)
     return estimate_from_outcome(j, cfg.precision)
 
 

@@ -51,8 +51,12 @@ class CapExceeded(RuntimeError):
 
 
 def max_qubits() -> int:
-    raw = os.environ.get("QBC_MAX_QUBITS", "")
-    return int(raw) if raw.strip() else DEFAULT_MAX_QUBITS
+    raw = os.environ.get("QBC_MAX_QUBITS", "").strip()
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    if not raw.isdecimal() or int(raw) < 1:
+        raise GateError(f"QBC_MAX_QUBITS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def qubit_budget(protocol: str, index_width: int, t: int, num_clients: int = 1) -> int:

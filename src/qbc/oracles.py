@@ -79,7 +79,10 @@ def load_bitstrings(path, expect_width: int | None = None) -> list[np.ndarray]:
     violations report the offending line number.
     """
     rows: list[np.ndarray] = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError:
+        raise GateError(f"{path}: not a text file of 0/1 characters") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -117,24 +120,24 @@ def _count(ledger, name: str, k: int = 1):
         ledger.count_oracle(name, k)
 
 
-def apply_data_oracle(state, index_reg, target, data, controls=(), ledger=None, name="Ux"):
+def apply_data_oracle(state, index_reg, target, data, ledger=None, name="Ux"):
     """|i>|b> -> |i>|b xor data_i> on `target`. Self-inverse."""
     table = padded_table(data, len(index_reg))
-    state.x(target, controls=controls, index_reg=index_reg, pred=table)
+    state.x(target, index_reg=index_reg, pred=table)
     _count(ledger, name)
     return state
 
 
-def apply_correlation_gate(state, o1, o2, mode: CorrelationMode, controls=()):
+def apply_correlation_gate(state, o1, o2, mode: CorrelationMode):
     """Phase (-1)**(a AND b) or (-1)**(a XOR b) of the two work qubits."""
     if o1 == o2:
         raise GateError("correlation gate needs two distinct work qubits")
     if mode is CorrelationMode.AND:
-        state.cz(o1, o2, controls=controls)
+        state.cz(o1, o2)
     elif mode is CorrelationMode.XOR:
-        state.cnot(o1, o2, controls=controls)
-        state.z(o2, controls=controls)
-        state.cnot(o1, o2, controls=controls)
+        state.cnot(o1, o2)
+        state.z(o2)
+        state.cnot(o1, o2)
     else:
         raise GateError(f"unknown correlation mode {mode!r}")
     return state
@@ -150,24 +153,24 @@ def gen_pad(rule: PadRule, y, rng: np.random.Generator) -> np.ndarray:
     raise GateError(f"unknown pad rule {rule!r}")
 
 
-def apply_phase_pad(state, index_reg, pad, ancilla, controls=(), ledger=None, name="Ug"):
+def apply_phase_pad(state, index_reg, pad, ancilla, ledger=None, name="Ug"):
     """Multiply branch i by (-1)**pad_i, via XOR onto `ancilla`, a Z, and
     an uncompute. The ancilla returns to |0>."""
-    apply_data_oracle(state, index_reg, ancilla, pad, controls, ledger, name)
-    state.z(ancilla, controls=controls)
-    apply_data_oracle(state, index_reg, ancilla, pad, controls, ledger, name)
+    apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
+    state.z(ancilla)
+    apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
     return state
 
 
 # -- basis-hiding pipeline (server side of the client-blinded variant) ----
 
 
-def apply_ux1(state, index_reg, o1, x, basis: BasisAssignment, controls=(), ledger=None):
+def apply_ux1(state, index_reg, o1, x, basis: BasisAssignment, ledger=None):
     """Encode x_i into o1, per-branch in the Z or X basis: branch i
     carries |x_i> where basis bit is 0 and H|x_i> where it is 1."""
-    apply_data_oracle(state, index_reg, o1, x, controls, ledger, "Ux")
+    apply_data_oracle(state, index_reg, o1, x, ledger, "Ux")
     table = padded_table(basis.bits, len(index_reg))
-    state.h(o1, controls=controls, index_reg=index_reg, pred=table)
+    state.h(o1, index_reg=index_reg, pred=table)
     _count(ledger, "UX1")
     return state
 
@@ -177,7 +180,7 @@ def _require_clear(state, qubit, what: str):
         raise GateError(f"{what} must be |0> at entry")
 
 
-def apply_ux2(state, index_reg, o1, oa, x, basis: BasisAssignment, controls=(), ledger=None):
+def apply_ux2(state, index_reg, o1, oa, x, basis: BasisAssignment, ledger=None):
     """Extract the product phase out of the X-basis branches and clear
     the Z-basis ones.
 
@@ -194,27 +197,27 @@ def apply_ux2(state, index_reg, o1, oa, x, basis: BasisAssignment, controls=(), 
     x = as_bits(x)
     r_bits = basis.bits
     table = padded_table(r_bits, len(index_reg))
-    apply_data_oracle(state, index_reg, oa, x, controls, ledger, "Ux")
-    state.h(o1, controls=controls, index_reg=index_reg, pred=table)
-    state.x(o1, controls=controls, index_reg=index_reg, pred=table)
-    state.cz(o1, oa, controls=controls, index_reg=index_reg, pred=table)
-    state.x(o1, controls=controls, index_reg=index_reg, pred=table)
-    state.h(o1, controls=controls, index_reg=index_reg, pred=table)
-    apply_data_oracle(state, index_reg, oa, x, controls, ledger, "Ux")
-    apply_data_oracle(state, index_reg, o1, x & (1 - r_bits), controls, ledger, "Ux")
+    apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
+    state.h(o1, index_reg=index_reg, pred=table)
+    state.x(o1, index_reg=index_reg, pred=table)
+    state.cz(o1, oa, index_reg=index_reg, pred=table)
+    state.x(o1, index_reg=index_reg, pred=table)
+    state.h(o1, index_reg=index_reg, pred=table)
+    apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
+    apply_data_oracle(state, index_reg, o1, x & (1 - r_bits), ledger, "Ux")
     _count(ledger, "UX2")
     return state
 
 
-def apply_ux3(state, index_reg, pad, ancilla, controls=(), ledger=None):
+def apply_ux3(state, index_reg, pad, ancilla, ledger=None):
     """Random phase pad (-1)**h_i hiding the product phase from the
     counterpart between the two correlation rounds."""
-    apply_phase_pad(state, index_reg, pad, ancilla, controls, ledger, "Uh")
+    apply_phase_pad(state, index_reg, pad, ancilla, ledger, "Uh")
     _count(ledger, "UX3")
     return state
 
 
-def apply_ux4(state, index_reg, o1, oa, x, basis: BasisAssignment, pad, controls=(), ledger=None):
+def apply_ux4(state, index_reg, o1, oa, x, basis: BasisAssignment, pad, ledger=None):
     """Remove the pad and reset o1 to |0> using the known encoding.
 
     Only X-basis branches still hold data in o1 by this point (the
@@ -222,12 +225,12 @@ def apply_ux4(state, index_reg, o1, oa, x, basis: BasisAssignment, pad, controls
     were cleared during the phase extraction), so the final unload is
     masked to the basis draw.
     """
-    apply_phase_pad(state, index_reg, pad, oa, controls, ledger, "Uh")
+    apply_phase_pad(state, index_reg, pad, oa, ledger, "Uh")
     x = as_bits(x)
     r_bits = basis.bits
     table = padded_table(r_bits, len(index_reg))
-    state.h(o1, controls=controls, index_reg=index_reg, pred=table)
-    apply_data_oracle(state, index_reg, o1, x & r_bits, controls, ledger, "Ux")
+    state.h(o1, index_reg=index_reg, pred=table)
+    apply_data_oracle(state, index_reg, o1, x & r_bits, ledger, "Ux")
     _count(ledger, "UX4")
     if state.probability(o1, 1) > 1e-12:
         raise InvariantViolation(

@@ -9,15 +9,14 @@ round of the baseline protocol:
     sends index register + o1 back                   (n+1 qubits),
     server uncomputes; the counting layer applies the diffusion.
 
-The counting layer drives each round with a control qubit from its
-readout register so that a round is one controlled Grover iterate. That
-control is threaded mechanically through every gate of the round; it is
-the simulation's realization of the distributed controlled iterate and
-is exempt from ownership checks (parties never act on it, and the
-server-side compilation that would make most of it physical is standard
-phase kickback through the carrier qubit). Every qubit a party actually
-operates on is checked against the ownership map, and violations abort
-the run.
+Each round is one Grover iterate, applied uncontrolled: the counting
+layer runs it on the index + work block (index qubits [0, n), carrier
+o1 at n, the parties' work qubits after it) of the readout branch that
+selects it, so the parties' gates act on exactly the qubits they hold.
+Every qubit a party operates on is checked against the ownership map,
+and violations abort the run. A `round_hook(round_index, state)`
+receives that branch after the round: the block plus the readout
+qubits joined so far, trailing (see `qbc.counting`).
 
 Blinded variants:
 
@@ -204,27 +203,25 @@ def run_qbc_baseline(
     num = len(x)
     n = index_width_for(num)
     index = list(range(n))
-    o1 = n + t
-    o2 = n + t + 1
+    o1, o2 = n, n + 1
     client = client_name(1)
     ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + t + 1)}
+    owners = {q: SERVER for q in range(n + 1)}
     owners[o2] = client
-    sim = ProtocolSim(n + t + 2, owners, ledger, index + list(range(n, n + t)))
+    sim = ProtocolSim(n + 2, owners, ledger, index)
 
-    def grover_round(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
+    def grover_round(state):
         sim.begin_round()
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         sim.transfer(index + [o1], SERVER, client)
         sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, mode, ctrls)
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
+        apply_correlation_gate(state, o1, o2, mode)
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
         sim.transfer(index + [o1], client, SERVER)
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         sim.end_round()
         if round_hook is not None:
             round_hook(sim.round_index, state)
@@ -274,15 +271,13 @@ def run_blind_server(
     num = len(x)
     n = index_width_for(num)
     index = list(range(n))
-    o1 = n + t
-    o2 = n + t + 1
-    o3 = n + t + 2
+    o1, o2, o3 = n, n + 1, n + 2
     client = client_name(1)
     ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + t + 1)}
+    owners = {q: SERVER for q in range(n + 1)}
     owners[o2] = client
     owners[o3] = client
-    sim = ProtocolSim(n + t + 3, owners, ledger, index + list(range(n, n + t)))
+    sim = ProtocolSim(n + 3, owners, ledger, index)
 
     if pad_bits is None:
         if rng is None:
@@ -298,23 +293,22 @@ def run_blind_server(
             raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
 
-    def grover_round(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
+    def grover_round(state):
         sim.begin_round()
         if pad_per_round and sim.round_index > 1:
             pads_used.append(gen_pad(PadRule.BLIND_SERVER_G, y, rng))
         round_pad = pads_used[-1]
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         sim.transfer(index + [o1], SERVER, client)
         sim.require_owner(client, index + [o1, o2, o3])
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND, ctrls)
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
-        apply_phase_pad(state, index, round_pad, o3, ctrls, ledger, "Ug")
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
+        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
+        apply_phase_pad(state, index, round_pad, o3, ledger, "Ug")
         sim.transfer(index + [o1], client, SERVER)
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         sim.end_round()
         if round_hook is not None:
             round_hook(sim.round_index, state)
@@ -362,22 +356,19 @@ def run_blind_client(
     num = len(x)
     n = index_width_for(num)
     index = list(range(n))
-    o1 = n + t
-    o2 = n + t + 1
-    oa = n + t + 2
+    o1, o2, oa = n, n + 1, n + 2
     client = client_name(1)
     ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + t + 1)}
+    owners = {q: SERVER for q in range(n + 1)}
     owners[o2] = client
     owners[oa] = SERVER
-    sim = ProtocolSim(n + t + 3, owners, ledger, index + list(range(n, n + t)))
+    sim = ProtocolSim(n + 3, owners, ledger, index)
     if (force_basis is None or force_pad is None) and rng is None:
         raise GateError("need an rng to draw bases and pads")
     bases: list[BasisAssignment] = []
     pads: list[np.ndarray] = []
 
-    def grover_round(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
+    def grover_round(state):
         sim.begin_round()
         r_bits = as_bits(force_basis) if force_basis is not None else random_bits(num, rng)
         h_bits = as_bits(force_pad) if force_pad is not None else random_bits(num, rng)
@@ -385,24 +376,24 @@ def run_blind_client(
         bases.append(basis)
         pads.append(h_bits)
         sim.require_owner(SERVER, index + [o1])
-        apply_ux1(state, index, o1, x, basis, ctrls, ledger)
+        apply_ux1(state, index, o1, x, basis, ledger)
         sim.transfer(index + [o1], SERVER, client)
         sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND, ctrls)
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
+        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
         sim.transfer(index + [o1], client, SERVER)
         sim.require_owner(SERVER, index + [o1, oa])
-        apply_ux2(state, index, o1, oa, x, basis, ctrls, ledger)
-        apply_ux3(state, index, h_bits, oa, ctrls, ledger)
+        apply_ux2(state, index, o1, oa, x, basis, ledger)
+        apply_ux3(state, index, h_bits, oa, ledger)
         sim.transfer(index + [o1], SERVER, client)
         sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND, ctrls)
-        apply_data_oracle(state, index, o2, y, ctrls, ledger, "Uy")
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
+        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
+        apply_data_oracle(state, index, o2, y, ledger, "Uy")
         sim.transfer(index + [o1], client, SERVER)
         sim.require_owner(SERVER, index + [o1, oa])
-        apply_ux4(state, index, o1, oa, x, basis, h_bits, ctrls, ledger)
+        apply_ux4(state, index, o1, oa, x, basis, h_bits, ledger)
         sim.end_round()
         if round_hook is not None:
             round_hook(sim.round_index, state)
@@ -466,13 +457,13 @@ def run_multiparty(
     num = len(x)
     n = index_width_for(num)
     index = list(range(n))
-    o1 = n + t
-    work = {k: n + t + 1 + (k - 1) for k in range(1, m + 1)}
+    o1 = n
+    work = {k: n + k for k in range(1, m + 1)}
     ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + t + 1)}
+    owners = {q: SERVER for q in range(n + 1)}
     for k in range(1, m + 1):
         owners[work[k]] = client_name(k)
-    sim = ProtocolSim(n + t + 1 + m, owners, ledger, index + list(range(n, n + t)))
+    sim = ProtocolSim(n + 1 + m, owners, ledger, index)
 
     g = None
     if pad_first_client:
@@ -485,25 +476,24 @@ def run_multiparty(
                 raise GateError("need an rng to draw the pad")
             g = random_bits(num, rng)
 
-    def grover_round(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
+    def grover_round(state):
         sim.begin_round()
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         holder = SERVER
         for k in range(1, m + 1):
             party = client_name(k)
             sim.transfer(index + [o1], holder, party)
             holder = party
             sim.require_owner(party, index + [o1, work[k]])
-            apply_data_oracle(state, index, work[k], ys[k - 1], ctrls, ledger, "Uy")
-            apply_correlation_gate(state, o1, work[k], CorrelationMode.AND, ctrls)
-            apply_data_oracle(state, index, work[k], ys[k - 1], ctrls, ledger, "Uy")
+            apply_data_oracle(state, index, work[k], ys[k - 1], ledger, "Uy")
+            apply_correlation_gate(state, o1, work[k], CorrelationMode.AND)
+            apply_data_oracle(state, index, work[k], ys[k - 1], ledger, "Uy")
             if k == 1 and g is not None:
-                apply_phase_pad(state, index, g, work[k], ctrls, ledger, "Ug")
+                apply_phase_pad(state, index, g, work[k], ledger, "Ug")
         sim.transfer(index + [o1], holder, SERVER)
         sim.require_owner(SERVER, index + [o1])
-        apply_data_oracle(state, index, o1, x, ctrls, ledger, "Ux")
+        apply_data_oracle(state, index, o1, x, ledger, "Ux")
         sim.end_round()
         if round_hook is not None:
             round_hook(sim.round_index, state)

@@ -339,14 +339,3 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
         return state
     raise GateError(f"unknown gate kind {k!r}")
 
-
-def apply_indexed_gate(state, index_reg, target, pred, kind: str) -> StateVector:
-    """Apply a single-qubit gate to `target` only on basis components
-    whose index-register value i satisfies pred[i] == 1."""
-    if kind == "h":
-        return state.h(target, index_reg=index_reg, pred=pred)
-    if kind == "x":
-        return state.x(target, index_reg=index_reg, pred=pred)
-    if kind == "z":
-        return state.z(target, index_reg=index_reg, pred=pred)
-    raise GateError(f"indexed application not supported for kind {kind!r}")

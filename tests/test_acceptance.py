@@ -243,7 +243,7 @@ def test_criterion_06_index_state_identity():
     residuals = []
 
     def hook(r, state):
-        residuals.append(max(state.probability(7, 1), state.probability(9, 1)))
+        residuals.append(max(state.probability(3, 1), state.probability(5, 1)))
 
     run_blind_client(random_bits(num, rng), random_bits(num, rng), 4,
                      rng=rng, return_distribution=True, round_hook=hook)

@@ -1,5 +1,6 @@
 """Phase estimation over the Grover iterate: exact distributions,
-mirror symmetry, determinism on eigenphase instances, work hygiene."""
+mirror symmetry, determinism on eigenphase instances, work hygiene, and
+the lazy-readout layer against a dense controlled-circuit reference."""
 import math
 
 import numpy as np
@@ -7,32 +8,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbc.counting
 from qbc.counting import (
     CountingConfig,
-    OracleOp,
-    WorkCheck,
-    build_counting_circuit,
     counting_distribution,
     estimate_from_outcome,
     phase_estimation_distribution,
-    reverse_circuit,
-    run_circuit,
     run_counting,
     work_leakage,
 )
-from qbc.oracles import apply_phase_pad, padded_table
-from qbc.statevector import InvariantViolation, StateVector
+from qbc.oracles import apply_phase_pad, padded_table, random_bits
+from qbc.protocol import run_blind_server
+from qbc.statevector import GateSpec, InvariantViolation, StateVector, apply_gate
 
 
 def counting_cfg_for_table(n: int, t: int, table) -> CountingConfig:
     """Plain marked-set counting: phase (-1)**table[i] via one work qubit."""
     table = padded_table(table, n)
 
-    def oracle(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
-        apply_phase_pad(state, list(range(n)), table, n + t, ctrls)
+    def oracle(state):
+        apply_phase_pad(state, list(range(n)), table, n)
 
     return CountingConfig(n, t, oracle, work_qubits=1)
+
+
+def dense_counting_state(n: int, t: int, tables) -> StateVector:
+    """Reference state of the full controlled circuit: index qubits
+    [0, n), readout [n, n+t). Round k multiplies branch i by
+    (-1)**tables[k][i] and applies the diffusion, both controlled by the
+    readout qubit whose power it belongs to (largest power first); the
+    inverse QFT gates prepare the readout."""
+    index = tuple(range(n))
+    readout = tuple(range(n, n + t))
+    sv = StateVector(n + t)
+    for q in index + readout:
+        sv.h(q)
+    rounds = iter(tables)
+    for pos, ctrl in enumerate(readout):
+        for _ in range(1 << (t - 1 - pos)):
+            sv.z(ctrl, index_reg=index, pred=padded_table(next(rounds), n))
+            hs = [GateSpec("h", (q,), (ctrl,)) for q in index]
+            for gate in hs + [GateSpec("reflect0", index, (ctrl,))] + hs:
+                apply_gate(sv, gate)
+    assert next(rounds, None) is None
+    apply_gate(sv, GateSpec("iqft", readout))
+    return sv
+
+
+def dense_counting_law(n: int, t: int, tables) -> np.ndarray:
+    return dense_counting_state(n, t, tables).outcome_distribution(range(n, n + t))
+
+
+def tv_distance(p, q) -> float:
+    return 0.5 * float(np.sum(np.abs(p - q)))
 
 
 def theta_for(count: int, num_values: int) -> float:
@@ -140,26 +168,86 @@ def test_rms_error_scales_with_half_t():
         assert rms_by_t[7] < rms_by_t[4]
 
 
-# -- circuit structure -----------------------------------------------------------
+# -- lazy readout vs the dense controlled circuit ---------------------------------
 
 
-def test_circuit_applies_expected_number_of_oracles():
-    cfg = counting_cfg_for_table(2, 4, [1, 0, 0, 0])
-    ops = build_counting_circuit(cfg)
-    oracle_ops = [op for op in ops if isinstance(op, OracleOp)]
-    assert len(oracle_ops) == (1 << 4) - 1
-    # top readout qubit controls the largest power
-    assert oracle_ops[0].control == cfg.readout_reg[0]
-    counts = {}
-    for op in oracle_ops:
-        counts[op.control] = counts.get(op.control, 0) + 1
-    assert counts == {cfg.readout_reg[k]: 1 << (4 - 1 - k) for k in range(4)}
+@pytest.mark.parametrize("n,t", [(1, 2), (2, 3), (3, 4), (2, 5)])
+def test_varying_oracle_matches_dense_reference(n, t):
+    # a fresh phase table on every call: each readout branch must see
+    # exactly the rounds its bits select, in the global round order
+    rng = np.random.default_rng(100 * n + t)
+    tables = [random_bits(1 << n, rng) for _ in range((1 << t) - 1)]
+    calls = iter(tables)
+
+    def oracle(state):
+        apply_phase_pad(state, list(range(n)), next(calls), n)
+
+    dist = counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
+    assert next(calls, None) is None
+    assert tv_distance(dist, dense_counting_law(n, t, tables)) <= 1e-12
+
+
+def test_sampled_outcomes_match_dense_reference():
+    # the same rng stream gives the same outcome as measuring the
+    # readout qubits of the dense state one by one, top bit first
+    table = [1, 0, 1, 1, 0, 0, 0, 0]
+    dense = dense_counting_state(3, 5, [table] * 31)
+    outcomes = set()
+    for seed in range(40):
+        sv = dense.copy()
+        rng = np.random.default_rng(seed)
+        j = 0
+        for q in range(3, 8):
+            j = (j << 1) | sv.measure(q, rng)
+        res = run_counting(counting_cfg_for_table(3, 5, table), np.random.default_rng(seed))
+        assert res.j == j
+        outcomes.add(j)
+    assert len(outcomes) > 2
+
+
+def test_per_round_pads_match_dense_reference():
+    # pad_per_round redraws g every round, so a power-snapshot readout
+    # (branch r gets rounds 1..r) would move this law
+    rng = np.random.default_rng(7)
+    x, y = random_bits(8, rng), random_bits(8, rng)
+    run = run_blind_server(x, y, 4, rng=rng, pad_per_round=True, return_distribution=True)
+    tables = [(x & y) ^ g for g in run.pads["g"]]
+    assert len(tables) == 15
+    assert tv_distance(run.distribution, dense_counting_law(3, 4, tables)) <= 1e-12
+
+
+def test_iterates_per_readout_bit_largest_power_first():
+    # readout qubit pos joins before its block: the oracle sees the
+    # block plus pos trailing readout qubits, 2^(t-1-pos) times
+    n, t = 2, 4
+    widths = []
+
+    def oracle(state):
+        widths.append(state.num_qubits)
+
+    counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
+    expect = [n + 1 + pos for pos in range(t) for _ in range(1 << (t - 1 - pos))]
+    assert widths == expect
+
+
+def test_one_work_check_per_iterate(monkeypatch):
+    checks = []
+    real = qbc.counting.work_leakage
+
+    def counted(state, work_reg):
+        checks.append(tuple(work_reg))
+        return real(state, work_reg)
+
+    monkeypatch.setattr(qbc.counting, "work_leakage", counted)
+    cfg = counting_cfg_for_table(1, 3, [1, 0])
+    counting_distribution(cfg)
+    assert checks == [cfg.work_reg] * ((1 << 3) - 1)
+    assert cfg.work_reg == (1,)
 
 
 def test_work_check_trips_on_leaky_oracle():
-    def leaky(state, ctrl):
-        ctrls = () if ctrl is None else (ctrl,)
-        state.x(3, controls=ctrls)  # leaves the work qubit hot
+    def leaky(state):
+        state.x(1)  # leaves the work qubit hot
 
     cfg = CountingConfig(1, 2, leaky, work_qubits=1)
     with pytest.raises(InvariantViolation, match="leak"):
@@ -173,18 +261,6 @@ def test_work_leakage_measures_hot_mass():
     assert work_leakage(sv, []) == 0.0
 
 
-def test_reverse_circuit_undoes_counting():
-    cfg = counting_cfg_for_table(2, 3, [1, 1, 0, 0])
-    sv = StateVector(cfg.total_qubits)
-    for q in cfg.index_reg:
-        sv.h(q)
-    ref = sv.amps.copy()
-    circuit = build_counting_circuit(cfg)
-    run_circuit(sv, circuit)
-    run_circuit(sv, reverse_circuit(circuit), check_work=False)
-    assert np.allclose(sv.amps, ref, atol=1e-9)
-
-
 def test_run_counting_measures_big_endian():
     rng = np.random.default_rng(6)
     res = run_counting(counting_cfg_for_table(2, 4, [1, 1, 1, 1]), rng)
@@ -195,21 +271,14 @@ def test_run_counting_measures_big_endian():
 def test_run_counting_rejects_wrong_state_size():
     cfg = counting_cfg_for_table(2, 3, [1, 0, 0, 0])
     with pytest.raises(ValueError):
-        counting_distribution(cfg, StateVector(3))
+        counting_distribution(cfg, StateVector(cfg.block_qubits + cfg.precision))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CountingConfig(0, 3, lambda s, c: None)
+        CountingConfig(0, 3, lambda s: None)
     with pytest.raises(ValueError):
-        CountingConfig(2, 0, lambda s, c: None)
-
-
-def test_workcheck_markers_present_after_each_iterate():
-    cfg = counting_cfg_for_table(1, 3, [1, 0])
-    ops = build_counting_circuit(cfg)
-    checks = [op for op in ops if isinstance(op, WorkCheck)]
-    assert len(checks) == (1 << 3) - 1
+        CountingConfig(2, 0, lambda s: None)
 
 
 @settings(max_examples=30, deadline=None)

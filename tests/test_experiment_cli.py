@@ -311,3 +311,40 @@ def test_cli_grid_parsing_in_process(capsys):
     assert out.startswith("N,d,t,d0,")
     assert main(["privacy", "--kind", "overlap", "--grid", "4,2"]) == 2
     assert main(["privacy", "--kind", "overlap", "--grid", " ; "]) == 2
+
+
+def single_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["privacy", "--kind", "overlap", "--trials", "0"],
+    ["regression", "--n", "4", "--planes", "3", "--t", "3", "--seeds", "0"],
+    ["regression", "--n", "4", "--planes", "3", "--seeds", "1", "--t", "0"],
+    ["attack", "--strategy", "plus-probe", "--n", "8", "--t", "3",
+     "--random-inputs", "--trials", "-5"],
+])
+def test_cli_rejects_bad_counts(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in single_error_line(captured.err)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+def test_cli_rejects_bad_qubit_cap(raw, monkeypatch, capsys):
+    monkeypatch.setenv("QBC_MAX_QUBITS", raw)
+    assert main(["run", "--n", "4", "--t", "2", "--random-inputs"]) == 2
+    assert "QBC_MAX_QUBITS" in single_error_line(capsys.readouterr().err)
+
+
+def test_cli_rejects_non_utf8_input_file(tmp_path, capsys):
+    x_file = tmp_path / "x.bin"
+    x_file.write_bytes(b"\xff\xfe01\n")
+    y_file = tmp_path / "y.txt"
+    y_file.write_text("0101\n")
+    argv = ["run", "--n", "4", "--t", "2", "--x-file", str(x_file), "--y-file", str(y_file)]
+    assert main(argv) == 2
+    assert str(x_file) in single_error_line(capsys.readouterr().err)

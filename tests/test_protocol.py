@@ -336,7 +336,7 @@ def test_blind_client_work_qubits_clear_after_every_round():
     leaks = []
 
     def hook(r, state):
-        leaks.append(max(state.probability(q, 1) for q in (7, 9)))  # o1, oa at n=3,t=4
+        leaks.append(max(state.probability(q, 1) for q in (3, 5)))  # o1, oa at n=3
 
     run_blind_client(
         [1, 0, 1, 1, 0, 1, 0, 0], [1, 1, 0, 1, 0, 0, 1, 1], 4,
