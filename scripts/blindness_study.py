@@ -12,7 +12,7 @@ import numpy as np
 from qbc.adversary import blind_client_distinguishability
 from qbc.experiment import check_cap, derive_rng
 from qbc.oracles import random_bits
-from qbc.protocol import run_blind_client, run_blind_server, run_qbc_baseline
+from qbc.protocol import index_width_for, run_blind_client, run_blind_server, run_qbc_baseline
 
 
 def tv(p, q) -> float:
@@ -27,8 +27,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    width = max(1, (args.n - 1).bit_length())
-    check_cap("blind-client", width, args.t)
+    check_cap("blind-client", index_width_for(args.n), args.t)
     rng = derive_rng(args.seed, 0)
     worst_client = worst_server = 0.0
     for k in range(args.instances):

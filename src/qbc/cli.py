@@ -206,6 +206,7 @@ def cmd_attack(args) -> int:
         trials = args.trials if args.trials > 0 else 1000
         payload = attack_biased_index(width, args.focus, args.focus_prob, rng, trials)
     else:
+        _require_at_least("--t", args.t, 1)
         y = _attack_y(args)
         check_cap("baseline", index_width_for(args.n), args.t)
         if strategy is AttackStrategy.PLUS_PROBE:
@@ -225,6 +226,8 @@ def cmd_privacy(args) -> int:
         table = privacy_table_recovery(grid)
     else:
         grid = _parse_grid(args.grid) if args.grid else OVERLAP_GRID
+        for _, _, t in grid:
+            _require_at_least("--grid t", t, 1)
         table = privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
     _emit(table, args.out)
     return 0
@@ -267,6 +270,9 @@ def cmd_regression(args) -> int:
 
 
 def cmd_ledger_check(args) -> int:
+    _require_at_least("--max-n", args.max_n, 2)
+    _require_at_least("--max-t", args.max_t, 1)
+    _require_at_least("--m", args.m, 2)
     rng = derive_rng(args.seed, 3)
     rows = []
     ok = True
@@ -289,12 +295,7 @@ def cmd_ledger_check(args) -> int:
                 run = run_protocol(cfg, x, ys, derive_rng(args.seed, 4))
                 want = expected_ledger(variant, n, t, num_clients=clients)
                 got = run.ledger
-                match = (
-                    got.quantum_qubits_sent == want.quantum_qubits_sent
-                    and got.classical_bits_sent == want.classical_bits_sent
-                    and got.oracle_calls == want.oracle_calls
-                    and got.grover_rounds == want.grover_rounds
-                )
+                match = got.as_dict() == want.as_dict()
                 ok = ok and match
                 rows.append(
                     {

@@ -28,11 +28,13 @@ from .ledger import VARIANTS
 from .oracles import CorrelationMode, load_bitstrings, random_bits
 from .protocol import (
     ProtocolRun,
+    index_width_for,
     run_blind_client,
     run_blind_server,
     run_multiparty,
     run_qbc_baseline,
     transcript_lines,
+    work_owners,
 )
 from .statevector import GateError
 
@@ -60,13 +62,8 @@ def max_qubits() -> int:
 
 
 def qubit_budget(protocol: str, index_width: int, t: int, num_clients: int = 1) -> int:
-    if protocol == "baseline":
-        return index_width + t + 2
-    if protocol in ("blind-server", "blind-client"):
-        return index_width + t + 3
-    if protocol == "multiparty":
-        return index_width + t + 1 + num_clients
-    raise GateError(f"unknown protocol {protocol!r}")
+    """Index, readout, carrier and work qubits of one execution."""
+    return index_width + t + 1 + len(work_owners(protocol, num_clients))
 
 
 def check_cap(protocol: str, index_width: int, t: int, num_clients: int = 1) -> int:
@@ -130,7 +127,7 @@ class ExperimentConfig:
 
     @property
     def index_width(self) -> int:
-        return max(1, (self.effective_num_values - 1).bit_length())
+        return index_width_for(self.effective_num_values)
 
     def as_dict(self) -> dict:
         return {

@@ -1,6 +1,6 @@
 """Two-party and cascaded estimation protocols with channel accounting.
 
-A run wires a party-aware Grover round into the counting layer. One
+Every variant runs the same round trip once per Grover iterate. One
 round of the baseline protocol:
 
     server encodes its bits into the carrier qubit o1,
@@ -9,14 +9,20 @@ round of the baseline protocol:
     sends index register + o1 back                   (n+1 qubits),
     server uncomputes; the counting layer applies the diffusion.
 
-Each round is one Grover iterate, applied uncontrolled: the counting
-layer runs it on the index + work block (index qubits [0, n), carrier
-o1 at n, the parties' work qubits after it) of the readout branch that
-selects it, so the parties' gates act on exactly the qubits they hold.
-Every qubit a party operates on is checked against the ownership map,
-and violations abort the run. A `round_hook(round_index, state)`
-receives that branch after the round: the block plus the readout
-qubits joined so far, trailing (see `qbc.counting`).
+A variant supplies its work-qubit owners (`work_owners`) and a closure
+of party steps, which moves the index register and carrier with `hop`.
+One private driver lays out index qubits [0, n), o1 at n and the work
+qubits after it; keeps the ownership map, ledger and transcript; frames
+each round (begin, the server's hold on the carrier, the steps, end,
+the round hook); and samples the counting readout or returns its law.
+
+The counting layer applies each round uncontrolled to the index + work
+block of the readout branch that selects it, so the parties' gates act
+on exactly the qubits they hold. Every qubit a party operates on is
+checked against the ownership map, and violations abort the run. A
+`round_hook(round_index, state)` receives that branch after the round:
+the block plus the readout qubits joined so far, trailing (see
+`qbc.counting`).
 
 Blinded variants:
 
@@ -170,23 +176,92 @@ def _validated_pair(x, y):
     return x, y
 
 
-def _finish(
-    sim: ProtocolSim,
-    cfg: CountingConfig,
-    rng,
-    return_distribution: bool,
-    scale: float,
-    final_result_bits: int,
-):
-    """Run or analyze the counting circuit and collect the outputs."""
-    if return_distribution:
-        dist = counting_distribution(cfg, sim.state)
-        return None, None, dist
-    if rng is None:
-        raise GateError("need an rng to sample the readout")
-    result = run_counting(cfg, rng, sim.state)
-    sim.ledger.classical_bits_sent += final_result_bits
-    return result, result.estimate * scale, None
+def work_owners(variant: str, num_clients: int = 1) -> list[str]:
+    """Holders of a variant's work qubits n+1, n+2, ... after the carrier
+    o1 = n. Runs and the qubit budget both size themselves from it."""
+    client = client_name(1)
+    if variant == "baseline":
+        return [client]
+    if variant == "blind-server":
+        return [client, client]
+    if variant == "blind-client":
+        return [client, SERVER]
+    if variant == "multiparty":
+        return [client_name(k) for k in range(1, num_clients + 1)]
+    raise GateError(f"unknown protocol {variant!r}")
+
+
+class _Execution:
+    """One protocol execution: the layout, ledger and ProtocolSim of a
+    variant, and the round frame that every variant shares."""
+
+    def __init__(self, variant: str, num_values: int, num_clients: int = 1,
+                 mode: CorrelationMode = CorrelationMode.AND):
+        self.variant = variant
+        self.num_values = num_values
+        self.mode = mode
+        self.n = n = index_width_for(num_values)
+        holders = work_owners(variant, num_clients)
+        self.index = list(range(n))
+        self.o1 = n
+        self.carried = self.index + [n]
+        self.work = list(range(n + 1, n + 1 + len(holders)))
+        owners = {q: SERVER for q in range(n + 1)}
+        owners.update(zip(self.work, holders))
+        self.ledger = ChannelLedger()
+        self.sim = ProtocolSim(n + 1 + len(holders), owners, self.ledger, self.index)
+
+    def hop(self, src: str, dst: str, *work: int):
+        """Send the index register and carrier from src to dst, which then
+        acts on them and on the work qubits named."""
+        self.sim.transfer(self.carried, src, dst)
+        self.sim.require_owner(dst, self.carried + list(work))
+
+    def correlate(self, state, y, target: int):
+        """A client's step: its data oracle on its work qubit, the
+        correlation gate onto the carrier, and the oracle again."""
+        apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
+        apply_correlation_gate(state, self.o1, target, self.mode)
+        apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
+
+    def run(self, steps, t, rng, return_distribution, round_hook, result_bits, truth):
+        """Count over the rounds `steps` makes, then return the exact
+        readout law or sample it and send result_bits to the client."""
+        sim = self.sim
+
+        def grover_round(state):
+            sim.begin_round()
+            sim.require_owner(SERVER, self.carried)
+            steps(state)
+            sim.end_round()
+            if round_hook is not None:
+                round_hook(sim.round_index, state)
+
+        cfg = CountingConfig(self.n, t, grover_round, work_qubits=1 + len(self.work))
+        result = estimate = dist = None
+        if return_distribution:
+            dist = counting_distribution(cfg, sim.state)
+        elif rng is None:
+            raise GateError("need an rng to sample the readout")
+        else:
+            result = run_counting(cfg, rng, sim.state)
+            self.ledger.classical_bits_sent += result_bits
+            estimate = result.estimate * ((1 << self.n) / self.num_values)
+        return ProtocolRun(
+            variant=self.variant,
+            num_values=self.num_values,
+            index_width=self.n,
+            t=t,
+            mode=self.mode.value,
+            result=result,
+            estimate=estimate,
+            recovered_estimate=None,
+            truth=truth,
+            server_view_truth=truth,
+            ledger=self.ledger,
+            transcript=sim.transcript,
+            distribution=dist,
+        )
 
 
 def run_qbc_baseline(
@@ -200,54 +275,21 @@ def run_qbc_baseline(
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
     x, y = _validated_pair(x, y)
-    num = len(x)
-    n = index_width_for(num)
-    index = list(range(n))
-    o1, o2 = n, n + 1
+    ex = _Execution("baseline", len(x), mode=mode)
+    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    (o2,) = ex.work
     client = client_name(1)
-    ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + 1)}
-    owners[o2] = client
-    sim = ProtocolSim(n + 2, owners, ledger, index)
 
-    def grover_round(state):
-        sim.begin_round()
-        sim.require_owner(SERVER, index + [o1])
+    def steps(state):
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
-        sim.transfer(index + [o1], SERVER, client)
-        sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, mode)
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        sim.transfer(index + [o1], client, SERVER)
-        sim.require_owner(SERVER, index + [o1])
+        ex.hop(SERVER, client, o2)
+        ex.correlate(state, y, o2)
+        ex.hop(client, SERVER)
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
-        sim.end_round()
-        if round_hook is not None:
-            round_hook(sim.round_index, state)
 
-    cfg = CountingConfig(n, t, grover_round, work_qubits=2)
-    scale = (1 << n) / num
-    result, estimate, dist = _finish(sim, cfg, rng, return_distribution, scale, t)
-    if mode is CorrelationMode.AND:
-        truth = float(np.sum(x & y)) / num
-    else:
-        truth = float(np.sum(x ^ y)) / num
-    return ProtocolRun(
-        variant="baseline",
-        num_values=num,
-        index_width=n,
-        t=t,
-        mode=mode.value,
-        result=result,
-        estimate=estimate,
-        recovered_estimate=None,
-        truth=truth,
-        server_view_truth=truth,
-        ledger=ledger,
-        transcript=sim.transcript,
-        distribution=dist,
-    )
+    joint = x & y if mode is CorrelationMode.AND else x ^ y
+    truth = float(np.sum(joint)) / len(x)
+    return ex.run(steps, t, rng, return_distribution, round_hook, t, truth)
 
 
 def run_blind_server(
@@ -269,16 +311,7 @@ def run_blind_server(
     recovery then subtracts the average pad mean."""
     x, y = _validated_pair(x, y)
     num = len(x)
-    n = index_width_for(num)
-    index = list(range(n))
-    o1, o2, o3 = n, n + 1, n + 2
-    client = client_name(1)
-    ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + 1)}
-    owners[o2] = client
-    owners[o3] = client
-    sim = ProtocolSim(n + 3, owners, ledger, index)
-
+    ex = _Execution("blind-server", num)
     if pad_bits is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
@@ -292,50 +325,29 @@ def run_blind_server(
         if np.any(g & y):
             raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
+    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    o2, o3 = ex.work
+    client = client_name(1)
 
-    def grover_round(state):
-        sim.begin_round()
-        if pad_per_round and sim.round_index > 1:
+    def steps(state):
+        if pad_per_round and ex.sim.round_index > 1:
             pads_used.append(gen_pad(PadRule.BLIND_SERVER_G, y, rng))
-        round_pad = pads_used[-1]
-        sim.require_owner(SERVER, index + [o1])
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
-        sim.transfer(index + [o1], SERVER, client)
-        sim.require_owner(client, index + [o1, o2, o3])
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        apply_phase_pad(state, index, round_pad, o3, ledger, "Ug")
-        sim.transfer(index + [o1], client, SERVER)
-        sim.require_owner(SERVER, index + [o1])
+        ex.hop(SERVER, client, o2, o3)
+        ex.correlate(state, y, o2)
+        apply_phase_pad(state, index, pads_used[-1], o3, ledger, "Ug")
+        ex.hop(client, SERVER)
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
-        sim.end_round()
-        if round_hook is not None:
-            round_hook(sim.round_index, state)
 
-    cfg = CountingConfig(n, t, grover_round, work_qubits=3)
-    scale = (1 << n) / num
-    result, estimate, dist = _finish(sim, cfg, rng, return_distribution, scale, t)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, t, float(np.sum(x & y)) / num)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
     if disclose_pad_sum:
         ledger.classical_bits_sent += math.ceil(math.log2(num + 1))
-    truth = float(np.sum(x & y)) / num
-    return ProtocolRun(
-        variant="blind-server",
-        num_values=num,
-        index_width=n,
-        t=t,
-        mode=CorrelationMode.AND.value,
-        result=result,
-        estimate=estimate,
-        recovered_estimate=None if estimate is None else estimate - pad_mean,
-        truth=truth,
-        server_view_truth=truth + pad_mean,
-        ledger=ledger,
-        transcript=sim.transcript,
-        pads={"g": pads_used[0] if not pad_per_round else pads_used},
-        distribution=dist,
-    )
+    if run.estimate is not None:
+        run.recovered_estimate = run.estimate - pad_mean
+    run.server_view_truth = run.truth + pad_mean
+    run.pads = {"g": pads_used if pad_per_round else pads_used[0]}
+    return run
 
 
 def run_blind_client(
@@ -354,70 +366,35 @@ def run_blind_client(
     phases each round, so the readout statistics match the baseline."""
     x, y = _validated_pair(x, y)
     num = len(x)
-    n = index_width_for(num)
-    index = list(range(n))
-    o1, o2, oa = n, n + 1, n + 2
-    client = client_name(1)
-    ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + 1)}
-    owners[o2] = client
-    owners[oa] = SERVER
-    sim = ProtocolSim(n + 3, owners, ledger, index)
+    ex = _Execution("blind-client", num)
     if (force_basis is None or force_pad is None) and rng is None:
         raise GateError("need an rng to draw bases and pads")
     bases: list[BasisAssignment] = []
     pads: list[np.ndarray] = []
+    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    o2, oa = ex.work
+    client = client_name(1)
 
-    def grover_round(state):
-        sim.begin_round()
+    def steps(state):
         r_bits = as_bits(force_basis) if force_basis is not None else random_bits(num, rng)
         h_bits = as_bits(force_pad) if force_pad is not None else random_bits(num, rng)
-        basis = BasisAssignment(r_bits, sim.round_index)
+        basis = BasisAssignment(r_bits, ex.sim.round_index)
         bases.append(basis)
         pads.append(h_bits)
-        sim.require_owner(SERVER, index + [o1])
         apply_ux1(state, index, o1, x, basis, ledger)
-        sim.transfer(index + [o1], SERVER, client)
-        sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        sim.transfer(index + [o1], client, SERVER)
-        sim.require_owner(SERVER, index + [o1, oa])
+        ex.hop(SERVER, client, o2)
+        ex.correlate(state, y, o2)
+        ex.hop(client, SERVER, oa)
         apply_ux2(state, index, o1, oa, x, basis, ledger)
         apply_ux3(state, index, h_bits, oa, ledger)
-        sim.transfer(index + [o1], SERVER, client)
-        sim.require_owner(client, index + [o1, o2])
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        apply_correlation_gate(state, o1, o2, CorrelationMode.AND)
-        apply_data_oracle(state, index, o2, y, ledger, "Uy")
-        sim.transfer(index + [o1], client, SERVER)
-        sim.require_owner(SERVER, index + [o1, oa])
+        ex.hop(SERVER, client, o2)
+        ex.correlate(state, y, o2)
+        ex.hop(client, SERVER, oa)
         apply_ux4(state, index, o1, oa, x, basis, h_bits, ledger)
-        sim.end_round()
-        if round_hook is not None:
-            round_hook(sim.round_index, state)
 
-    cfg = CountingConfig(n, t, grover_round, work_qubits=3)
-    scale = (1 << n) / num
-    result, estimate, dist = _finish(sim, cfg, rng, return_distribution, scale, 0)
-    truth = float(np.sum(x & y)) / num
-    return ProtocolRun(
-        variant="blind-client",
-        num_values=num,
-        index_width=n,
-        t=t,
-        mode=CorrelationMode.AND.value,
-        result=result,
-        estimate=estimate,
-        recovered_estimate=None,
-        truth=truth,
-        server_view_truth=truth,
-        ledger=ledger,
-        transcript=sim.transcript,
-        pads={"basis": bases, "h": pads},
-        distribution=dist,
-    )
+    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, float(np.sum(x & y)) / num)
+    run.pads = {"basis": bases, "h": pads}
+    return run
 
 
 def parity_fraction(x, ys) -> float:
@@ -448,80 +425,41 @@ def run_multiparty(
     register and the carrier hop along the chain."""
     x = as_bits(x)
     ys = [as_bits(y) for y in ys]
-    m = len(ys)
-    if m < 2:
+    if len(ys) < 2:
         raise GateError("cascade needs at least two clients")
-    for y in ys:
-        if len(y) != len(x):
-            raise GateError("client vectors must match the server length")
     num = len(x)
-    n = index_width_for(num)
-    index = list(range(n))
-    o1 = n
-    work = {k: n + k for k in range(1, m + 1)}
-    ledger = ChannelLedger()
-    owners = {q: SERVER for q in range(n + 1)}
-    for k in range(1, m + 1):
-        owners[work[k]] = client_name(k)
-    sim = ProtocolSim(n + 1 + m, owners, ledger, index)
+    ex = _Execution("multiparty", num, num_clients=len(ys))
+    truth = parity_fraction(x, ys)  # also checks the vector lengths
 
     g = None
-    if pad_first_client:
-        if pad_bits is not None:
-            g = as_bits(pad_bits)
-            if len(g) != num:
-                raise GateError("pad length must match the data length")
-        else:
-            if rng is None:
-                raise GateError("need an rng to draw the pad")
-            g = random_bits(num, rng)
+    if pad_first_client and pad_bits is not None:
+        g = as_bits(pad_bits)
+        if len(g) != num:
+            raise GateError("pad length must match the data length")
+    elif pad_first_client:
+        if rng is None:
+            raise GateError("need an rng to draw the pad")
+        g = random_bits(num, rng)
+    index, o1, ledger = ex.index, ex.o1, ex.ledger
 
-    def grover_round(state):
-        sim.begin_round()
-        sim.require_owner(SERVER, index + [o1])
+    def steps(state):
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
         holder = SERVER
-        for k in range(1, m + 1):
+        for k, (y, work) in enumerate(zip(ys, ex.work), start=1):
             party = client_name(k)
-            sim.transfer(index + [o1], holder, party)
+            ex.hop(holder, party, work)
             holder = party
-            sim.require_owner(party, index + [o1, work[k]])
-            apply_data_oracle(state, index, work[k], ys[k - 1], ledger, "Uy")
-            apply_correlation_gate(state, o1, work[k], CorrelationMode.AND)
-            apply_data_oracle(state, index, work[k], ys[k - 1], ledger, "Uy")
+            ex.correlate(state, y, work)
             if k == 1 and g is not None:
-                apply_phase_pad(state, index, g, work[k], ledger, "Ug")
-        sim.transfer(index + [o1], holder, SERVER)
-        sim.require_owner(SERVER, index + [o1])
+                apply_phase_pad(state, index, g, work, ledger, "Ug")
+        ex.hop(holder, SERVER)
         apply_data_oracle(state, index, o1, x, ledger, "Ux")
-        sim.end_round()
-        if round_hook is not None:
-            round_hook(sim.round_index, state)
 
-    cfg = CountingConfig(n, t, grover_round, work_qubits=1 + m)
-    scale = (1 << n) / num
-    result, estimate, dist = _finish(sim, cfg, rng, return_distribution, scale, 0)
-    truth = parity_fraction(x, ys)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, truth)
     if g is not None:
         parity = np.zeros(num, dtype=np.uint8)
         for y in ys:
             parity ^= x & y
-        server_view = float(np.sum(parity ^ g)) / num
-    else:
-        server_view = truth
-    return ProtocolRun(
-        variant="multiparty",
-        num_values=num,
-        index_width=n,
-        t=t,
-        mode=CorrelationMode.AND.value,
-        result=result,
-        estimate=estimate,
-        recovered_estimate=None,
-        truth=truth,
-        server_view_truth=server_view,
-        ledger=ledger,
-        transcript=sim.transcript,
-        pads={} if g is None else {"g": g},
-        distribution=dist,
-    )
+        run.server_view_truth = float(np.sum(parity ^ g)) / num
+        run.pads = {"g": g}
+    return run

@@ -325,6 +325,13 @@ def single_error_line(err: str) -> str:
     ["regression", "--n", "4", "--planes", "3", "--seeds", "1", "--t", "0"],
     ["attack", "--strategy", "plus-probe", "--n", "8", "--t", "3",
      "--random-inputs", "--trials", "-5"],
+    ["attack", "--strategy", "plus-probe", "--n", "8", "--random-inputs", "--t", "0"],
+    ["attack", "--strategy", "blind-server-worst", "--n", "8", "--random-inputs", "--t", "0"],
+    ["ledger-check", "--max-t", "0", "--max-n", "1"],
+    ["ledger-check", "--max-t", "0"],
+    ["ledger-check", "--m", "1"],
+    ["privacy", "--kind", "overlap", "--grid", "8,4,0"],
+    ["privacy", "--kind", "overlap", "--grid", "4,2,2;8,4,-1"],
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2
