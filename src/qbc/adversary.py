@@ -78,6 +78,19 @@ class PrivacyReport:
         }
 
 
+MC_BLOCK_VALUES = 1 << 20
+
+
+def _row_blocks(trials: int, cols: int):
+    """Row counts of consecutive Monte Carlo blocks of about
+    MC_BLOCK_VALUES draws each, covering `trials` rows of `cols` draws.
+    Drawing block by block consumes the rng exactly as one
+    (trials, cols) draw would, so results do not depend on the block."""
+    rows = max(1, MC_BLOCK_VALUES // max(1, cols))
+    for start in range(0, trials, rows):
+        yield min(rows, trials - start)
+
+
 # -- probe attack on the carrier qubit --------------------------------------
 
 
@@ -158,10 +171,12 @@ def attack_plus_probe(
         trials=trials,
     )
     if trials > 0:
-        draws = np.sort(rng.integers(0, size, size=(trials, rounds)), axis=1)
-        counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + 1
-        binc = np.bincount(counts, minlength=size + 1) / trials
-        report.mc_pmf = {d: float(p) for d, p in enumerate(binc) if p > 0}
+        hist = np.zeros(size + 1, dtype=np.int64)
+        for rows in _row_blocks(trials, rounds):
+            draws = np.sort(rng.integers(0, size, size=(rows, rounds)), axis=1)
+            counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + 1
+            hist += np.bincount(counts, minlength=size + 1)
+        report.mc_pmf = {d: float(p) for d, p in enumerate(hist / trials) if p > 0}
     return report
 
 
@@ -340,10 +355,11 @@ def overlap_mc_pmf(
     if k == 0:
         pmf[0] = 1.0
         return pmf
-    scores = rng.random((trials, num_values))
-    picks = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    overlaps = np.sum(picks < d_y, axis=1)
-    counts = np.bincount(overlaps, minlength=d_y + 1)[: d_y + 1]
+    counts = np.zeros(d_y + 1, dtype=np.int64)
+    for rows in _row_blocks(trials, num_values):
+        scores = rng.random((rows, num_values))
+        picks = np.argpartition(scores, k - 1, axis=1)[:, :k]
+        counts += np.bincount(np.sum(picks < d_y, axis=1), minlength=d_y + 1)
     return counts / trials
 
 

@@ -164,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    if args.protocol == "multiparty":
+        _require_at_least("--m", args.m, 2)
     cfg = ExperimentConfig(
         protocol=args.protocol,
         num_values=args.n,

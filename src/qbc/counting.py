@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .statevector import (
+    GateError,
     GateSpec,
     InvariantViolation,
     StateVector,
@@ -107,13 +108,15 @@ def diffusion_gates(index_reg) -> list[GateSpec]:
 
 
 def work_leakage(state: StateVector, work_reg) -> float:
-    """Total probability mass on components with any work qubit set."""
+    """Total probability mass on components with any work qubit set; the
+    work register is a run of consecutive qubits [n, n+w)."""
     if not work_reg:
         return 0.0
-    hot = np.zeros(len(state.amps), dtype=bool)
-    for q in work_reg:
-        hot |= state.bit_values(q) == 1
-    return float(np.sum(np.abs(state.amps[hot]) ** 2))
+    n, w = work_reg[0], len(work_reg)
+    if tuple(work_reg) != tuple(range(n, n + w)) or n + w > state.num_qubits:
+        raise GateError("work register must be consecutive qubits of the state")
+    hot = state.amps.reshape(1 << n, 1 << w, -1)[:, 1:, :]
+    return float(np.sum(np.abs(hot) ** 2))
 
 
 def _grover_iterate(cfg: CountingConfig, state: StateVector):

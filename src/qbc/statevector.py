@@ -7,8 +7,12 @@ long circuits cheap; callers that need the old state copy() first.
 
 Every gate accepts an optional tuple of control qubits (the gate acts
 only on components where all controls are 1) and, where it makes sense,
-a classical predicate table over an index register (the gate acts only
-on components whose index-register value i has table[i] == 1).
+a classical predicate table over an index register, which must be the
+top qubits [0, k) (the gate acts only on components whose register
+value i has table[i] == 1). One helper, `_select`, turns both into a
+view of the amplitudes and a key into it, so no gate builds an array
+over all basis states. `bit_values` and `register_values` are read-outs
+kept for the tests and the adversary's uniformity check.
 """
 from __future__ import annotations
 
@@ -66,17 +70,6 @@ class GateSpec:
         return self
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _basis(num_qubits: int) -> np.ndarray:
-    arr = _BASIS_CACHE.get(num_qubits)
-    if arr is None:
-        arr = np.arange(1 << num_qubits, dtype=np.int64)
-        _BASIS_CACHE[num_qubits] = arr
-    return arr
-
-
 class StateVector:
     """State of `num_qubits` qubits as a dense complex amplitude vector."""
 
@@ -108,7 +101,7 @@ class StateVector:
         """0/1 value of `qubit` in every basis state, as an int array."""
         self._check_qubit(qubit)
         shift = self.num_qubits - 1 - qubit
-        return (_basis(self.num_qubits) >> shift) & 1
+        return (np.arange(1 << self.num_qubits) >> shift) & 1
 
     def register_values(self, qubits) -> np.ndarray:
         """Big-endian integer value of the listed qubits per basis state."""
@@ -120,25 +113,30 @@ class StateVector:
             vals |= self.bit_values(q) << (width - 1 - pos)
         return vals
 
-    def _cond_mask(self, controls=(), index_reg=None, pred=None):
-        """Boolean mask of basis states passing all controls and the
-        predicate table, or None when unconditional."""
-        mask = None
-        for c in controls:
-            bit = self.bit_values(c) == 1
-            mask = bit if mask is None else (mask & bit)
+    def _select(self, controls=(), index_reg=None, pred=None):
+        """A (2**k, 2, ..., 2) view of the amplitudes and a key list, one
+        entry per axis, that selects the components passing the controls
+        and the predicate. Axis 0 is the index register [0, k) (k = 0
+        without a predicate); qubit q >= k is axis q - k + 1."""
+        k, rows = 0, slice(None)
         if pred is not None:
             if index_reg is None:
                 raise GateError("predicate table requires an index register")
+            k = len(index_reg)
+            if tuple(index_reg) != tuple(range(k)):
+                raise GateError("a predicate's index register must be the qubits [0, k)")
             table = np.asarray(pred)
-            if table.shape != (1 << len(index_reg),):
-                raise GateError(
-                    f"predicate table length {table.shape} does not match "
-                    f"index register width {len(index_reg)}"
-                )
-            sel = table.astype(bool)[self.register_values(index_reg)]
-            mask = sel if mask is None else (mask & sel)
-        return mask
+            if table.shape != (1 << k,):
+                raise GateError(f"predicate table shape {table.shape} does not fit width {k}")
+            rows = np.flatnonzero(table)
+        view = self.amps.reshape((1 << k,) + (2,) * (self.num_qubits - k))
+        key = [rows] + [slice(None)] * (self.num_qubits - k)
+        for c in controls:
+            self._check_qubit(c)
+            if c < k:
+                raise GateError(f"control {c} lies inside the predicated index register")
+            key[c - k + 1] = 1
+        return view, key
 
     # -- single-qubit and diagonal gates ---------------------------------
 
@@ -148,20 +146,14 @@ class StateVector:
         operands = set(controls) | (set(index_reg) if pred is not None and index_reg else set())
         if target in operands:
             raise GateError("target overlaps controls or index register")
-        mask = self._cond_mask(controls, index_reg, pred)
-        pre = 1 << target
-        post = 1 << (self.num_qubits - 1 - target)
-        v = self.amps.reshape(pre, 2, post)
-        a0 = v[:, 0, :]
-        a1 = v[:, 1, :]
+        view, key = self._select(controls, index_reg, pred)
+        axis = target + view.ndim - self.num_qubits
+        k0, k1 = (tuple(key[:axis] + [b] + key[axis + 1:]) for b in (0, 1))
+        a0, a1 = view[k0], view[k1]
+        # without a predicate a0 and a1 are views: compute both halves first
         n0 = u[0, 0] * a0 + u[0, 1] * a1
         n1 = u[1, 0] * a0 + u[1, 1] * a1
-        if mask is not None:
-            m = mask.reshape(pre, 2, post)[:, 0, :]
-            n0 = np.where(m, n0, a0)
-            n1 = np.where(m, n1, a1)
-        v[:, 0, :] = n0
-        v[:, 1, :] = n1
+        view[k0], view[k1] = n0, n1
         return self
 
     def h(self, target, controls=(), index_reg=None, pred=None):
@@ -171,21 +163,21 @@ class StateVector:
         return self.apply_1q(X_MAT, target, controls, index_reg, pred)
 
     def z(self, target, controls=(), index_reg=None, pred=None):
-        mask = self._cond_mask(tuple(controls) + (target,), index_reg, pred)
-        self.amps[mask] *= -1.0
+        view, key = self._select(tuple(controls) + (target,), index_reg, pred)
+        view[tuple(key)] *= -1.0
         return self
 
     def phase(self, angle: float, target: int, controls=(), index_reg=None, pred=None):
         """Multiply the |1> component of `target` by exp(i*angle)."""
-        mask = self._cond_mask(tuple(controls) + (target,), index_reg, pred)
-        self.amps[mask] *= np.exp(1j * angle)
+        view, key = self._select(tuple(controls) + (target,), index_reg, pred)
+        view[tuple(key)] *= np.exp(1j * angle)
         return self
 
     def cz(self, a: int, b: int, controls=(), index_reg=None, pred=None):
         if a == b:
             raise GateError("cz needs two distinct qubits")
-        mask = self._cond_mask(tuple(controls) + (a, b), index_reg, pred)
-        self.amps[mask] *= -1.0
+        view, key = self._select(tuple(controls) + (a, b), index_reg, pred)
+        view[tuple(key)] *= -1.0
         return self
 
     def cnot(self, control: int, target: int, controls=()):
@@ -203,25 +195,27 @@ class StateVector:
 
     def reflect_about_zero(self, register, controls=()):
         """2|0..0><0..0| - I on `register`: flip the sign of every
-        component whose register value is nonzero."""
+        component whose register value is nonzero, by negating the
+        controlled slice and then its register-zero sub-slice again."""
         if len(set(register)) != len(register):
             raise GateError("duplicate qubit in register")
         if set(register) & set(controls):
             raise GateError("register overlaps controls")
-        nonzero = np.zeros(1 << self.num_qubits, dtype=bool)
+        view, key = self._select(controls)
+        zero = list(key)
         for q in register:
-            nonzero |= self.bit_values(q) == 1
-        mask = self._cond_mask(tuple(controls))
-        if mask is not None:
-            nonzero &= mask
-        self.amps[nonzero] *= -1.0
+            self._check_qubit(q)
+            zero[q + 1] = 0
+        view[tuple(key)] *= -1.0
+        view[tuple(zero)] *= -1.0
         return self
 
     # -- measurement and read-out ----------------------------------------
 
     def probability(self, qubit: int, value: int = 1) -> float:
-        sel = self.bit_values(qubit) == value
-        return float(np.sum(np.abs(self.amps[sel]) ** 2))
+        self._check_qubit(qubit)
+        half = self.amps.reshape(1 << qubit, 2, -1)[:, value]
+        return float(np.sum(np.abs(half) ** 2))
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Projective Z measurement; collapses and renormalizes in place."""
@@ -230,8 +224,7 @@ class StateVector:
         if abs(p0 + p1 - 1.0) > NORM_ATOL * 100:
             raise InvariantViolation(f"measuring an unnormalized state (norm^2={p0 + p1:.3e})")
         outcome = 1 if rng.random() < p1 else 0
-        keep = self.bit_values(qubit) == outcome
-        self.amps[~keep] = 0.0
+        self.amps.reshape(1 << qubit, 2, -1)[:, 1 - outcome] = 0.0
         p = p1 if outcome == 1 else p0
         if p <= 0.0:
             raise InvariantViolation("measured a zero-probability branch")

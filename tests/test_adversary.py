@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbc.adversary import (
+    MC_BLOCK_VALUES,
     AttackConfig,
     AttackStrategy,
     RedundancyRule,
@@ -434,3 +435,38 @@ def test_redundant_round_trip_property(copies, y, seed):
     raw = Fraction(int(np.sum(x_wide & y_wide)), num * copies)
     decoded = redundant_decode(raw, copies, RedundancyRule.HIDE_AMONG_ZEROS)
     assert decoded == Fraction(int(np.sum(np.asarray(x) & np.asarray(y, dtype=np.uint8))), num)
+
+
+# -- Monte Carlo in bounded blocks ---------------------------------------------
+
+
+def test_blocked_monte_carlo_matches_one_shot_draws():
+    # the library draws in row blocks; a single (trials, cols) draw written
+    # here must give the same pmfs and leave the rng in the same state
+    y = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+    t, rounds = 3, 7
+    rows = MC_BLOCK_VALUES // rounds
+    trials = 2 * rows + 3
+    assert trials % rows != 0
+    rng = np.random.default_rng(41)
+    report = attack_plus_probe(y, t, rng, quantum=False, trials=trials)
+    ref = np.random.default_rng(41)
+    for _ in range(rounds):
+        ref.integers(0, 8)  # the showcase attack's classical rounds
+    draws = np.sort(ref.integers(0, 8, size=(trials, rounds)), axis=1)
+    counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + 1
+    pmf = np.bincount(counts, minlength=9) / trials
+    assert report.mc_pmf == {d: float(p) for d, p in enumerate(pmf) if p > 0}
+    assert rng.random() == ref.random()
+
+    num, d_y = 32, 11
+    rows = MC_BLOCK_VALUES // num
+    trials = 2 * rows + 5
+    assert trials % rows != 0
+    rng = np.random.default_rng(42)
+    mc = overlap_mc_pmf(num, d_y, 3, rng, trials)
+    ref = np.random.default_rng(42)
+    picks = np.argpartition(ref.random((trials, num)), 6, axis=1)[:, :7]
+    want = np.bincount(np.sum(picks < d_y, axis=1), minlength=d_y + 1) / trials
+    assert np.array_equal(mc, want)
+    assert rng.random() == ref.random()

@@ -1,4 +1,5 @@
 """Experiment harness and command line front end."""
+import hashlib
 import json
 import os
 import subprocess
@@ -332,6 +333,9 @@ def single_error_line(err: str) -> str:
     ["ledger-check", "--m", "1"],
     ["privacy", "--kind", "overlap", "--grid", "8,4,0"],
     ["privacy", "--kind", "overlap", "--grid", "4,2,2;8,4,-1"],
+    ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "1"],
+    ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "0"],
+    ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "-3"],
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2
@@ -355,3 +359,29 @@ def test_cli_rejects_non_utf8_input_file(tmp_path, capsys):
     argv = ["run", "--n", "4", "--t", "2", "--x-file", str(x_file), "--y-file", str(y_file)]
     assert main(argv) == 2
     assert str(x_file) in single_error_line(capsys.readouterr().err)
+
+
+# -- pinned output bytes ------------------------------------------------------------
+
+# sha256 of `qbc run --protocol P --n N --t T --seed 3 --trials 2 --m 3
+# --random-inputs --transcript` stdout with the elapsed_s lines removed
+RUN_DIGESTS = {
+    ("baseline", 4, 2): "9089117a56c2d032a81b054cf149def131076cfc9b5fc083c000566fc699ce2b",
+    ("baseline", 16, 4): "98e97a1defa912fabcb4d913fbbd0028d05dd1e7e0457c3cc846afa993cf0b7c",
+    ("blind-server", 4, 2): "aa2ab229ac552565cf467bcc023110b545fb2858a2ea62d614e433e26846cbf8",
+    ("blind-server", 16, 4): "fda6d49a62043eecaad0c31ad95c3765aaff05ff601b3cafb31b75abd261a5ad",
+    ("blind-client", 4, 2): "9e7a260f32f4d0edb72c5f2b03a3ab5a49c0911db088edf741e9f28bec2b9379",
+    ("blind-client", 16, 4): "f5fea3dd95637b9204ccb5c67937d462d4b29f36718d7d083524ee8496ef0a39",
+    ("multiparty", 4, 2): "915c689e5e1c69f7360b2bd98920515ba733a8e952784c9f4cc78a998ddf2631",
+    ("multiparty", 16, 4): "bc21e589bef6873a7540972c26990b882a8af59194ac90c1690e1f0e2bfb5bbe",
+}
+
+
+@pytest.mark.parametrize("protocol,n,t", sorted(RUN_DIGESTS))
+def test_run_output_bytes_are_pinned(protocol, n, t, capsys):
+    argv = ["run", "--protocol", protocol, "--n", str(n), "--t", str(t), "--seed", "3",
+            "--trials", "2", "--m", "3", "--random-inputs", "--transcript"]
+    assert main(argv) == 0
+    kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
+                   if "elapsed_s" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == RUN_DIGESTS[(protocol, n, t)]
