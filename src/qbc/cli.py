@@ -238,6 +238,9 @@ def cmd_privacy(args) -> int:
 def cmd_regression(args) -> int:
     _require_at_least("--seeds", args.seeds, 1)
     _require_at_least("--t", args.t, 1)
+    _require_at_least("--planes", args.planes, 1)
+    if args.planes > 63:  # the column draws below need 1 << planes to fit an int64
+        raise GateError(f"--planes must be at most 63, got {args.planes}")
     check_cap(args.variant, index_width_for(args.n), args.t)
     scale = 1 << args.planes
     rows = []
@@ -327,6 +330,7 @@ def main(argv=None) -> int:
         "ledger-check": cmd_ledger_check,
     }
     try:
+        _require_at_least("--seed", args.seed, 0)  # every subcommand has one
         return handlers[args.command](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

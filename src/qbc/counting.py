@@ -1,34 +1,37 @@
 """Quantum counting: phase estimation over a Grover iterate.
 
 The Grover iterate G composes a caller-supplied phase oracle with the
-diffusion about the uniform index state. Powers of G are realized by
-repeating the iterate, never by exponentiating a matrix, so a protocol
-can hop qubits between parties once per iterate and the communication
-ledger counts real channel uses: 2**t - 1 iterates in all.
+diffusion 2|u><u| - I about the uniform index state |u>. Powers of G are
+realized by repeating the iterate, never by exponentiating a matrix, so
+a protocol can hop qubits between parties once per iterate and the
+communication ledger counts real channel uses: 2**t - 1 iterates in all.
 
-Block layout: index qubits [0, n), work qubits [n, n+w). Readout qubits
-act only as controls until the final Fourier transform, so they are
-added lazily. Readout qubit `pos` selects G**(2**(t-1-pos)); it joins as
-a new least significant qubit when its block of 2**(t-1-pos) iterates
-starts. Those iterates run once, uncontrolled, on a copy of the current
-state, and that copy becomes the half where the new readout bit is 1:
+Each oracle call (a round) runs once, gate by gate, on a probe of the
+block, index qubits [0, n) and work qubits [n, n+w), reset to |u> with
+clear work qubits. On the probe, `apply_1q`, the one path of the
+non-diagonal gates (h, x, cnot, swap), raises GateError on an index
+target, and the work qubits must be clear after the round. The round is
+thus a diagonal d(i) on the index register for every readout branch at
+once, and d is sqrt(2**n) times the probe's work-0 column.
 
-    state <- (|0> state + |1> G**(2**(t-1-pos)) state) / sqrt(2)
+Readout qubits act only as controls until the final Fourier transform,
+so they are added lazily. The readout branches are a (2**n, 2**pos)
+array M, one column per value of the readout bits joined so far.
+Readout qubit `pos` selects G**(2**(t-1-pos)) and joins as the new
+least significant bit when its block of iterates starts. The block runs
+on a copy B of M, each iterate as B <- d * B, then B <- 2 mean(B) - B
+over the index axis, and
+
+    M <- (|0> M + |1> G**(2**(t-1-pos)) M) / sqrt(2)
 
 Every readout branch thus receives exactly the iterates its bits select,
 in the order a controlled circuit applies them, so an oracle whose
 phases change from call to call is simulated exactly, and each
 iterate's side effects (random draws, channel bookkeeping) happen once.
-After the last block the readout qubits [n+w, n+w+t) read big-endian as
-the power r in sum_r |r> G**r |psi> / sqrt(2**t). The inverse Fourier
-transform over that axis is an FFT, after which the register reads as
-the integer j with theta_hat = 2*pi*j / 2**t.
-
-The oracle is called with the copy it acts on: an (n+w+pos)-qubit state
-with the index and work qubits in place and the readout qubits joined
-so far trailing. Its work qubits must be clear after every iterate.
-The largest array is the final one of 2**(n+w+t) amplitudes, so a qubit
-cap on n+w+t still bounds memory.
+The final M holds sum_r |r> G**r |u> / sqrt(2**t); an FFT over r is the
+inverse Fourier transform, after which the register reads as the
+integer j with theta_hat = 2*pi*j / 2**t. The largest array, M with
+2**(n+t) amplitudes, stays within a qubit cap on n+w+t.
 """
 from __future__ import annotations
 
@@ -38,14 +41,11 @@ from typing import Callable
 
 import numpy as np
 
-from .statevector import (
-    GateError,
-    GateSpec,
-    InvariantViolation,
-    StateVector,
-    WORK_LEAK_ATOL,
-    apply_gate,
-)
+from .statevector import GateError, InvariantViolation, StateVector, WORK_LEAK_ATOL
+
+# Unused here: perfbench's test_tracer_restores_every_namespace asserts
+# that qbc.counting.apply_gate is qbc.statevector.apply_gate.
+from .statevector import apply_gate  # noqa: F401
 
 Oracle = Callable[[StateVector], None]
 
@@ -62,10 +62,6 @@ class CountingConfig:
             raise ValueError("index register needs at least one qubit")
         if self.precision < 1:
             raise ValueError("readout register needs at least one qubit")
-
-    @property
-    def index_reg(self) -> tuple:
-        return tuple(range(self.index_width))
 
     @property
     def work_reg(self) -> tuple:
@@ -102,11 +98,6 @@ def estimate_from_outcome(j: int, t: int) -> EstimateResult:
     )
 
 
-def diffusion_gates(index_reg) -> list[GateSpec]:
-    hs = [GateSpec("h", (q,)) for q in index_reg]
-    return hs + [GateSpec("reflect0", tuple(index_reg))] + hs
-
-
 def work_leakage(state: StateVector, work_reg) -> float:
     """Total probability mass on components with any work qubit set; the
     work register is a run of consecutive qubits [n, n+w)."""
@@ -119,54 +110,57 @@ def work_leakage(state: StateVector, work_reg) -> float:
     return float(np.sum(np.abs(hot) ** 2))
 
 
-def _grover_iterate(cfg: CountingConfig, state: StateVector):
-    """One oracle call and diffusion, then a check that the work qubits
-    carry no residual excitation."""
-    cfg.oracle(state)
-    for gate in diffusion_gates(cfg.index_reg):
-        apply_gate(state, gate)
-    leak = work_leakage(state, cfg.work_reg)
-    if leak > WORK_LEAK_ATOL:
-        raise InvariantViolation(
-            f"work qubits leaked {leak:.3e} probability after a Grover iterate"
-        )
+class _Probe(StateVector):
+    """The block a round runs on. A non-diagonal gate may not target an
+    index qubit, so a round that passes is diagonal on the index."""
+
+    def __init__(self, cfg: CountingConfig):
+        super().__init__(cfg.block_qubits)
+        self.index_width = cfg.index_width
+
+    def apply_1q(self, u, target, controls=(), index_reg=None, pred=None):
+        if 0 <= target < self.index_width:
+            raise GateError(f"a round may not apply a non-diagonal gate to index qubit {target}")
+        return super().apply_1q(u, target, controls, index_reg, pred)
 
 
-def _powers(cfg: CountingConfig, state: StateVector | None) -> np.ndarray:
-    """Amplitudes of sum_r |r> G**r |psi> / sqrt(2**t) from the uniform
-    index state, as a (block, readout) array: one readout block at a
-    time, each a branch copy that runs its iterates once."""
-    if state is None:
-        state = StateVector(cfg.block_qubits)
-    elif state.num_qubits != cfg.block_qubits:
-        raise ValueError("state size does not match the counting configuration")
-    for q in cfg.index_reg:
-        state.h(q)
-    amps = state.amps
+def _powers(cfg: CountingConfig) -> np.ndarray:
+    """Amplitudes of sum_r |r> G**r |u> / sqrt(2**t) as an (index,
+    readout) array: one readout block at a time, each a copy of the
+    branches that takes its iterates once."""
+    probe = _Probe(cfg)
+    size, step = 1 << cfg.index_width, 1 << cfg.work_qubits  # amps[i * step]: index i, work clear
+    branches = np.full((size, 1), 1.0 / math.sqrt(size), dtype=complex)
     for pos in range(cfg.precision):
-        branch = StateVector(cfg.block_qubits + pos, amps)
+        block = branches.copy()
         for _ in range(1 << (cfg.precision - 1 - pos)):
-            _grover_iterate(cfg, branch)
-        amps = np.stack([amps, branch.amps], axis=-1).ravel()
-        amps /= math.sqrt(2)
-    return amps.reshape(-1, 1 << cfg.precision)
+            probe.amps[:] = 0.0
+            probe.amps[::step] = 1.0 / math.sqrt(size)
+            cfg.oracle(probe)
+            leak = work_leakage(probe, cfg.work_reg)
+            if leak > WORK_LEAK_ATOL:
+                raise InvariantViolation(
+                    f"work qubits leaked {leak:.3e} probability after a Grover iterate"
+                )
+            block *= probe.amps[::step, None] * math.sqrt(size)
+            block = 2.0 * block.mean(axis=0) - block
+        branches = np.stack([branches, block], axis=-1).reshape(size, -1) / math.sqrt(2)
+    return branches
 
 
-def counting_distribution(cfg: CountingConfig, state: StateVector | None = None) -> np.ndarray:
-    """Exact readout distribution of the counting circuit, starting from
-    the uniform index state on `state` (the block, all |0> by default):
-    the inverse Fourier transform of the readout axis is an FFT."""
-    spectrum = np.fft.fft(_powers(cfg, state), axis=1)
+def counting_distribution(cfg: CountingConfig) -> np.ndarray:
+    """Exact readout distribution of the counting circuit from the
+    uniform index state: the inverse Fourier transform of the readout
+    axis is an FFT."""
+    spectrum = np.fft.fft(_powers(cfg), axis=1)
     return np.sum(np.abs(spectrum) ** 2, axis=0) / (1 << cfg.precision)
 
 
-def run_counting(
-    cfg: CountingConfig, rng: np.random.Generator, state: StateVector | None = None
-) -> EstimateResult:
+def run_counting(cfg: CountingConfig, rng: np.random.Generator) -> EstimateResult:
     """Simulate the counting circuit once and measure the readout, most
     significant bit first. The outcome depends only on the readout law,
     so it is measured on a t-qubit state with amplitudes sqrt(law)."""
-    readout = StateVector(cfg.precision, np.sqrt(counting_distribution(cfg, state)))
+    readout = StateVector(cfg.precision, np.sqrt(counting_distribution(cfg)))
     j = 0
     for q in range(cfg.precision):
         j = (j << 1) | readout.measure(q, rng)

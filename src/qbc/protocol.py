@@ -16,13 +16,13 @@ qubits after it; keeps the ownership map, ledger and transcript; frames
 each round (begin, the server's hold on the carrier, the steps, end,
 the round hook); and samples the counting readout or returns its law.
 
-The counting layer applies each round uncontrolled to the index + work
-block of the readout branch that selects it, so the parties' gates act
-on exactly the qubits they hold. Every qubit a party operates on is
-checked against the ownership map, and violations abort the run. A
-`round_hook(round_index, state)` receives that branch after the round:
-the block plus the readout qubits joined so far, trailing (see
-`qbc.counting`).
+The counting layer runs each round once on a probe of the index + work
+block (see `qbc.counting`), so the parties' gates act on exactly the
+qubits they hold. Every qubit a party operates on is checked against
+the ownership map, and violations abort the run. A
+`round_hook(round_index, state)` receives the probe after the round:
+the uniform index register carrying the round's phases, and the work
+qubits, which must be clear again.
 
 Blinded variants:
 
@@ -66,7 +66,7 @@ from .oracles import (
     gen_pad,
     random_bits,
 )
-from .statevector import GateError, InvariantViolation, StateVector
+from .statevector import GateError, InvariantViolation
 
 SERVER = "server"
 
@@ -98,10 +98,9 @@ def index_width_for(num_values: int) -> int:
 
 
 class ProtocolSim:
-    """Statevector plus ownership map, ledger, and transcript."""
+    """Ownership map, ledger, and transcript of one execution."""
 
-    def __init__(self, num_qubits: int, owners: dict, ledger: ChannelLedger, server_home):
-        self.state = StateVector(num_qubits)
+    def __init__(self, owners: dict, ledger: ChannelLedger, server_home):
         self.owners = dict(owners)
         self.ledger = ledger
         self.transcript: list[TranscriptEntry] = []
@@ -209,7 +208,7 @@ class _Execution:
         owners = {q: SERVER for q in range(n + 1)}
         owners.update(zip(self.work, holders))
         self.ledger = ChannelLedger()
-        self.sim = ProtocolSim(n + 1 + len(holders), owners, self.ledger, self.index)
+        self.sim = ProtocolSim(owners, self.ledger, self.index)
 
     def hop(self, src: str, dst: str, *work: int):
         """Send the index register and carrier from src to dst, which then
@@ -240,11 +239,11 @@ class _Execution:
         cfg = CountingConfig(self.n, t, grover_round, work_qubits=1 + len(self.work))
         result = estimate = dist = None
         if return_distribution:
-            dist = counting_distribution(cfg, sim.state)
+            dist = counting_distribution(cfg)
         elif rng is None:
             raise GateError("need an rng to sample the readout")
         else:
-            result = run_counting(cfg, rng, sim.state)
+            result = run_counting(cfg, rng)
             self.ledger.classical_bits_sent += result_bits
             estimate = result.estimate * ((1 << self.n) / self.num_values)
         return ProtocolRun(

@@ -19,7 +19,7 @@ from qbc.counting import (
 )
 from qbc.oracles import apply_phase_pad, padded_table, random_bits
 from qbc.protocol import run_blind_server
-from qbc.statevector import GateSpec, InvariantViolation, StateVector, apply_gate
+from qbc.statevector import GateError, GateSpec, InvariantViolation, StateVector, apply_gate
 
 
 def counting_cfg_for_table(n: int, t: int, table) -> CountingConfig:
@@ -217,17 +217,59 @@ def test_per_round_pads_match_dense_reference():
 
 
 def test_iterates_per_readout_bit_largest_power_first():
-    # readout qubit pos joins before its block: the oracle sees the
-    # block plus pos trailing readout qubits, 2^(t-1-pos) times
-    n, t = 2, 4
-    widths = []
+    # every round runs on the same (n+w)-qubit probe; readout bit pos
+    # takes the next 2^(t-1-pos) rounds in order, largest power first
+    n, t = 3, 3
+    rng = np.random.default_rng(11)
+    tables = [random_bits(1 << n, rng) for _ in range((1 << t) - 1)]
+    calls, widths = iter(tables), []
 
     def oracle(state):
         widths.append(state.num_qubits)
+        apply_phase_pad(state, list(range(n)), next(calls), n)
 
-    counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
-    expect = [n + 1 + pos for pos in range(t) for _ in range(1 << (t - 1 - pos))]
-    assert widths == expect
+    dist = counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
+    assert widths == [n + 1] * len(tables)
+    assert tv_distance(dist, dense_counting_law(n, t, tables)) <= 1e-12
+    # the law tells the schedule apart: the smallest power first, or each
+    # block's rounds in reverse, would move it
+    smallest_first = tables[3:] + tables[1:3] + tables[:1]
+    reversed_blocks = tables[3::-1] + tables[5:3:-1] + tables[6:]
+    for other in (smallest_first, reversed_blocks):
+        assert tv_distance(dist, dense_counting_law(n, t, other)) > 1e-3
+
+
+@pytest.mark.parametrize("gate", [
+    lambda s: s.h(0),
+    lambda s: s.x(1),
+    lambda s: s.swap(0, 2),
+    lambda s: s.cnot(2, 1),
+])
+def test_round_rejects_non_diagonal_gate_on_index(gate):
+    with pytest.raises(GateError, match="index qubit"):
+        counting_distribution(CountingConfig(2, 2, gate, work_qubits=1))
+
+
+def test_round_allows_diagonal_index_gates_and_index_controls():
+    # z(0), cz(0, 1) and the reflection about |00> multiply index value i
+    # by (-1)**[0, 1, 0, 1][i]; the index-controlled work gates undo
+    # themselves
+    n, t = 2, 4
+
+    def oracle(state):
+        state.x(2, controls=(0,))
+        state.cnot(1, 2)
+        state.h(2, index_reg=[0, 1], pred=[0, 1, 1, 0])
+        state.z(0)
+        state.cz(0, 1)
+        state.reflect_about_zero([0, 1])
+        state.h(2, index_reg=[0, 1], pred=[0, 1, 1, 0])
+        state.cnot(1, 2)
+        state.x(2, controls=(0,))
+
+    dist = counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
+    want = dense_counting_law(n, t, [[0, 1, 0, 1]] * ((1 << t) - 1))
+    assert tv_distance(dist, want) <= 1e-12
 
 
 def test_one_work_check_per_iterate(monkeypatch):
@@ -266,12 +308,6 @@ def test_run_counting_measures_big_endian():
     res = run_counting(counting_cfg_for_table(2, 4, [1, 1, 1, 1]), rng)
     assert res.j == 8  # 2^(t-1), read MSB first
     assert math.isclose(res.estimate, 1.0)
-
-
-def test_run_counting_rejects_wrong_state_size():
-    cfg = counting_cfg_for_table(2, 3, [1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        counting_distribution(cfg, StateVector(cfg.block_qubits + cfg.precision))
 
 
 def test_config_validation():

@@ -336,6 +336,15 @@ def single_error_line(err: str) -> str:
     ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "1"],
     ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "0"],
     ["run", "--protocol", "multiparty", "--n", "4", "--t", "2", "--random-inputs", "--m", "-3"],
+    ["regression", "--n", "4", "--t", "3", "--seeds", "1", "--planes", "64"],
+    ["regression", "--n", "4", "--t", "3", "--seeds", "1", "--planes", "0"],
+    ["regression", "--n", "4", "--t", "3", "--seeds", "1", "--planes", "-1"],
+    ["run", "--n", "4", "--t", "2", "--random-inputs", "--seed", "-1"],
+    ["attack", "--strategy", "plus-probe", "--n", "8", "--t", "3", "--random-inputs",
+     "--seed", "-1"],
+    ["privacy", "--kind", "overlap", "--seed", "-1"],
+    ["regression", "--n", "4", "--planes", "3", "--t", "3", "--seeds", "1", "--seed", "-1"],
+    ["ledger-check", "--seed", "-1"],
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2

@@ -177,7 +177,7 @@ def test_expected_ledger_validation():
 
 
 def test_transfer_requires_current_owner():
-    sim = ProtocolSim(2, {0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
+    sim = ProtocolSim({0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
     with pytest.raises(OwnershipError):
         sim.transfer([1], SERVER, client_name(1))
     sim.transfer([0], SERVER, client_name(1))
@@ -186,13 +186,13 @@ def test_transfer_requires_current_owner():
 
 
 def test_require_owner_names_the_holder():
-    sim = ProtocolSim(2, {0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
+    sim = ProtocolSim({0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
     with pytest.raises(OwnershipError, match="client1"):
         sim.require_owner(SERVER, [1])
 
 
 def test_end_round_requires_registers_back_home():
-    sim = ProtocolSim(2, {0: SERVER, 1: SERVER}, ChannelLedger(), [0, 1])
+    sim = ProtocolSim({0: SERVER, 1: SERVER}, ChannelLedger(), [0, 1])
     sim.begin_round()
     sim.transfer([0], SERVER, client_name(1))
     with pytest.raises(OwnershipError):
