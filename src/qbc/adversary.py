@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracles import CorrelationMode, apply_correlation_gate, apply_data_oracle, as_bits
+from .oracles import (
+    CorrelationMode, apply_correlation_gate, apply_data_oracle, as_bits, padded_table,
+)
 from .statevector import (
     DensityMatrix,
     GateError,
@@ -94,20 +96,20 @@ def _row_blocks(trials: int, cols: int):
 # -- probe attack on the carrier qubit --------------------------------------
 
 
-def _probe_round_quantum(y, rng) -> tuple[int, int]:
+def _probe_round_quantum(y_table, rng) -> tuple[int, int]:
     """One live probe: uniform index + |+> carrier through the honest
-    counterpart block, then Z on the index and X on the carrier."""
-    y = as_bits(y)
-    n = max(1, (len(y) - 1).bit_length())
+    counterpart block, on the padded table of y, then Z on the index and
+    X on the carrier."""
+    n = len(y_table).bit_length() - 1
     index = list(range(n))
     o1, o2 = n, n + 1
     sv = StateVector(n + 2)
     for q in index:
         sv.h(q)
     sv.h(o1)
-    apply_data_oracle(sv, index, o2, y)
+    apply_data_oracle(sv, index, o2, y_table)
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y)
+    apply_data_oracle(sv, index, o2, y_table)
     j = 0
     for q in index:
         j = (j << 1) | sv.measure(q, rng)
@@ -141,10 +143,11 @@ def attack_plus_probe(
     if rounds is None:
         rounds = (1 << t) - 1
     use_quantum = quantum if quantum is not None else rounds <= 64
+    y_table = padded_table(y, n) if use_quantum else None
     learned: dict[int, int] = {}
     for _ in range(rounds):
         if use_quantum:
-            j, bit = _probe_round_quantum(y, rng)
+            j, bit = _probe_round_quantum(y_table, rng)
         else:
             j = int(rng.integers(0, size))
             bit = int(y[j]) if j < len(y) else 0

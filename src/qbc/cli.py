@@ -76,13 +76,14 @@ def _parse_grid(raw: str) -> list[tuple[int, int, int]]:
             continue
         fields = part.split(",")
         if len(fields) != 3:
-            raise GateError(f"grid row {part!r} needs three comma-separated integers")
+            raise GateError(f"--grid row {part!r} needs three comma-separated integers")
         try:
             rows.append(tuple(int(f) for f in fields))
         except ValueError as exc:
-            raise GateError(f"grid row {part!r}: {exc}") from exc
+            raise GateError(f"--grid row {part!r}: {exc}") from exc
+        _require_at_least("--grid N", rows[-1][0], 1)
     if not rows:
-        raise GateError("empty grid")
+        raise GateError("empty --grid")
     return rows
 
 
@@ -200,6 +201,7 @@ def _attack_y(args) -> np.ndarray:
 
 
 def cmd_attack(args) -> int:
+    _require_at_least("--n", args.n, 1)
     _require_at_least("--trials", args.trials, 0)
     strategy = AttackStrategy(args.strategy)
     rng = derive_rng(args.seed, 1)
@@ -224,10 +226,10 @@ def cmd_attack(args) -> int:
 def cmd_privacy(args) -> int:
     _require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
-        grid = _parse_grid(args.grid) if args.grid else RECOVERY_GRID
+        grid = _parse_grid(args.grid) if args.grid is not None else RECOVERY_GRID
         table = privacy_table_recovery(grid)
     else:
-        grid = _parse_grid(args.grid) if args.grid else OVERLAP_GRID
+        grid = _parse_grid(args.grid) if args.grid is not None else OVERLAP_GRID
         for _, _, t in grid:
             _require_at_least("--grid t", t, 1)
         table = privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)

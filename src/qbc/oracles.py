@@ -1,13 +1,17 @@
 """Phase-oracle building blocks over an index register and work qubits.
 
-The data oracle XORs a classical bit vector into a work qubit, indexed by
-the index register: |i>|b> -> |i>|b xor data_i>. Composing two data
+The data oracle XORs a classical bit table into a work qubit, indexed by
+the index register: |i>|b> -> |i>|b xor table_i>. Composing two data
 oracles with a correlation gate between the work qubits imprints the
 product (or XOR) of the two parties' bits as a phase on branch i. Pads
 and basis assignments support the blinded protocol variants.
 
-Vectors shorter than the index-register span are padded with zeros, so
-indices past the data length behave as fixed 0 bits.
+Oracles take padded tables; the driver builds them. `padded_table`, the
+one table builder, checks a bit vector and zero-pads it to the
+2**len(index_reg) span, so indices past the data length behave as fixed
+0 bits. Bits are fixed for a run and pads and bases for a round, so a
+table is built once per run or round, not once per gate. An oracle
+checks only each table's length, before it touches the state.
 """
 from __future__ import annotations
 
@@ -120,9 +124,15 @@ def _count(ledger, name: str, k: int = 1):
         ledger.count_oracle(name, k)
 
 
-def apply_data_oracle(state, index_reg, target, data, ledger=None, name="Ux"):
-    """|i>|b> -> |i>|b xor data_i> on `target`. Self-inverse."""
-    table = padded_table(data, len(index_reg))
+def _check_tables(index_reg, *tables):
+    size = 1 << len(index_reg)
+    for table in tables:
+        if len(table) != size:
+            raise GateError(f"table of length {len(table)} does not fit a {size}-value index")
+
+
+def apply_data_oracle(state, index_reg, target, table, ledger=None, name="Ux"):
+    """|i>|b> -> |i>|b xor table_i> on `target`. Self-inverse."""
     state.x(target, index_reg=index_reg, pred=table)
     _count(ledger, name)
     return state
@@ -154,8 +164,8 @@ def gen_pad(rule: PadRule, y, rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_phase_pad(state, index_reg, pad, ancilla, ledger=None, name="Ug"):
-    """Multiply branch i by (-1)**pad_i, via XOR onto `ancilla`, a Z, and
-    an uncompute. The ancilla returns to |0>."""
+    """Multiply branch i by (-1)**pad_i for a pad table, via XOR onto
+    `ancilla`, a Z, and an uncompute. The ancilla returns to |0>."""
     apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
     state.z(ancilla)
     apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
@@ -165,12 +175,12 @@ def apply_phase_pad(state, index_reg, pad, ancilla, ledger=None, name="Ug"):
 # -- basis-hiding pipeline (server side of the client-blinded variant) ----
 
 
-def apply_ux1(state, index_reg, o1, x, basis: BasisAssignment, ledger=None):
+def apply_ux1(state, index_reg, o1, x, basis, ledger=None):
     """Encode x_i into o1, per-branch in the Z or X basis: branch i
     carries |x_i> where basis bit is 0 and H|x_i> where it is 1."""
+    _check_tables(index_reg, x, basis)
     apply_data_oracle(state, index_reg, o1, x, ledger, "Ux")
-    table = padded_table(basis.bits, len(index_reg))
-    state.h(o1, index_reg=index_reg, pred=table)
+    state.h(o1, index_reg=index_reg, pred=basis)
     _count(ledger, "UX1")
     return state
 
@@ -180,7 +190,7 @@ def _require_clear(state, qubit, what: str):
         raise GateError(f"{what} must be |0> at entry")
 
 
-def apply_ux2(state, index_reg, o1, oa, x, basis: BasisAssignment, ledger=None):
+def apply_ux2(state, index_reg, o1, oa, x, basis, x_off_basis, ledger=None):
     """Extract the product phase out of the X-basis branches and clear
     the Z-basis ones.
 
@@ -188,23 +198,21 @@ def apply_ux2(state, index_reg, o1, oa, x, basis: BasisAssignment, ledger=None):
     through H and X turns the CZ against |x_i> (held on oa) into exactly
     the phase (-1)**(x_i y_i), after which the encoding is restored.
     Z-basis branches already carry that phase from the counterpart's
-    correlation gate, so o1 is reset to |0> there (the owner knows x and
-    the basis draw). Without that reset the counterpart's second pass
-    would imprint the product phase a second time on those branches and
-    cancel it.
+    correlation gate, so o1 is reset to |0> there with the x AND NOT r
+    table (the owner knows x and the basis draw). Without that reset the
+    counterpart's second pass would imprint the product phase a second
+    time on those branches and cancel it.
     """
+    _check_tables(index_reg, x, basis, x_off_basis)
     _require_clear(state, oa, "scratch qubit oa")
-    x = as_bits(x)
-    r_bits = basis.bits
-    table = padded_table(r_bits, len(index_reg))
     apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
-    state.h(o1, index_reg=index_reg, pred=table)
-    state.x(o1, index_reg=index_reg, pred=table)
-    state.cz(o1, oa, index_reg=index_reg, pred=table)
-    state.x(o1, index_reg=index_reg, pred=table)
-    state.h(o1, index_reg=index_reg, pred=table)
+    state.h(o1, index_reg=index_reg, pred=basis)
+    state.x(o1, index_reg=index_reg, pred=basis)
+    state.cz(o1, oa, index_reg=index_reg, pred=basis)
+    state.x(o1, index_reg=index_reg, pred=basis)
+    state.h(o1, index_reg=index_reg, pred=basis)
     apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
-    apply_data_oracle(state, index_reg, o1, x & (1 - r_bits), ledger, "Ux")
+    apply_data_oracle(state, index_reg, o1, x_off_basis, ledger, "Ux")
     _count(ledger, "UX2")
     return state
 
@@ -217,20 +225,18 @@ def apply_ux3(state, index_reg, pad, ancilla, ledger=None):
     return state
 
 
-def apply_ux4(state, index_reg, o1, oa, x, basis: BasisAssignment, pad, ledger=None):
+def apply_ux4(state, index_reg, o1, oa, x_on_basis, basis, pad, ledger=None):
     """Remove the pad and reset o1 to |0> using the known encoding.
 
     Only X-basis branches still hold data in o1 by this point (the
     counterpart's second pass stripped their y-phase; Z-basis branches
-    were cleared during the phase extraction), so the final unload is
-    masked to the basis draw.
+    were cleared during the phase extraction), so the final unload uses
+    the x AND r table.
     """
+    _check_tables(index_reg, x_on_basis, basis, pad)
     apply_phase_pad(state, index_reg, pad, oa, ledger, "Uh")
-    x = as_bits(x)
-    r_bits = basis.bits
-    table = padded_table(r_bits, len(index_reg))
-    state.h(o1, index_reg=index_reg, pred=table)
-    apply_data_oracle(state, index_reg, o1, x & r_bits, ledger, "Ux")
+    state.h(o1, index_reg=index_reg, pred=basis)
+    apply_data_oracle(state, index_reg, o1, x_on_basis, ledger, "Ux")
     _count(ledger, "UX4")
     if state.probability(o1, 1) > 1e-12:
         raise InvariantViolation(

@@ -16,6 +16,11 @@ qubits after it; keeps the ownership map, ledger and transcript; frames
 each round (begin, the server's hold on the carrier, the steps, end,
 the round hook); and samples the counting readout or returns its law.
 
+The oracles take padded tables, built when their bits are drawn: the
+driver builds those of x, of each client's y and of a fixed pad g once
+per run, a redrawn blind-server pad's each round, and the blind-client
+step its basis, pad, x AND r and x AND NOT r tables each round.
+
 The counting layer runs each round once on a probe of the index + work
 block (see `qbc.counting`), so the parties' gates act on exactly the
 qubits they hold. Every qubit a party operates on is checked against
@@ -64,6 +69,7 @@ from .oracles import (
     apply_ux4,
     as_bits,
     gen_pad,
+    padded_table,
     random_bits,
 )
 from .statevector import GateError, InvariantViolation
@@ -167,14 +173,6 @@ def transcript_lines(run: ProtocolRun) -> list[str]:
     return ["round,from,to,qubits,oracle_calls"] + [e.line() for e in run.transcript]
 
 
-def _validated_pair(x, y):
-    x = as_bits(x)
-    y = as_bits(y)
-    if len(x) != len(y):
-        raise GateError("x and y must have equal length")
-    return x, y
-
-
 def work_owners(variant: str, num_clients: int = 1) -> list[str]:
     """Holders of a variant's work qubits n+1, n+2, ... after the carrier
     o1 = n. Runs and the qubit budget both size themselves from it."""
@@ -191,16 +189,19 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
 
 
 class _Execution:
-    """One protocol execution: the layout, ledger and ProtocolSim of a
-    variant, and the round frame that every variant shares."""
+    """One protocol execution: the layout, ledger, ProtocolSim and data
+    tables of a variant, and the round frame that every variant shares."""
 
-    def __init__(self, variant: str, num_values: int, num_clients: int = 1,
-                 mode: CorrelationMode = CorrelationMode.AND):
+    def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND):
         self.variant = variant
-        self.num_values = num_values
+        self.num_values = len(x)
         self.mode = mode
-        self.n = n = index_width_for(num_values)
-        holders = work_owners(variant, num_clients)
+        self.n = n = index_width_for(len(x))
+        if any(len(y) != len(x) for y in ys):
+            raise GateError("client vectors must match the server length")
+        self.x_table = padded_table(x, n)
+        self.y_tables = [padded_table(y, n) for y in ys]
+        holders = work_owners(variant, len(ys))
         self.index = list(range(n))
         self.o1 = n
         self.carried = self.index + [n]
@@ -216,9 +217,10 @@ class _Execution:
         self.sim.transfer(self.carried, src, dst)
         self.sim.require_owner(dst, self.carried + list(work))
 
-    def correlate(self, state, y, target: int):
-        """A client's step: its data oracle on its work qubit, the
-        correlation gate onto the carrier, and the oracle again."""
+    def correlate(self, state, k: int, target: int):
+        """Client k's step (from 1): its data oracle on its work qubit,
+        the correlation gate onto the carrier, and the oracle again."""
+        y = self.y_tables[k - 1]
         apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
         apply_correlation_gate(state, self.o1, target, self.mode)
         apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
@@ -273,18 +275,18 @@ def run_qbc_baseline(
     round_hook=None,
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
-    x, y = _validated_pair(x, y)
-    ex = _Execution("baseline", len(x), mode=mode)
-    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    x, y = as_bits(x), as_bits(y)
+    ex = _Execution("baseline", x, [y], mode=mode)
+    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
     (o2,) = ex.work
     client = client_name(1)
 
     def steps(state):
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
         ex.hop(SERVER, client, o2)
-        ex.correlate(state, y, o2)
+        ex.correlate(state, 1, o2)
         ex.hop(client, SERVER)
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
     joint = x & y if mode is CorrelationMode.AND else x ^ y
     truth = float(np.sum(joint)) / len(x)
@@ -308,9 +310,9 @@ def run_blind_server(
     iterates and breaks exact recovery. pad_per_round=True enables that
     regime anyway so the resulting estimator bias can be studied; the
     recovery then subtracts the average pad mean."""
-    x, y = _validated_pair(x, y)
+    x, y = as_bits(x), as_bits(y)
     num = len(x)
-    ex = _Execution("blind-server", num)
+    ex = _Execution("blind-server", x, [y])
     if pad_bits is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
@@ -324,19 +326,22 @@ def run_blind_server(
         if np.any(g & y):
             raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
-    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    g_table = padded_table(g, ex.n)
+    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
     o2, o3 = ex.work
     client = client_name(1)
 
     def steps(state):
+        nonlocal g_table
         if pad_per_round and ex.sim.round_index > 1:
             pads_used.append(gen_pad(PadRule.BLIND_SERVER_G, y, rng))
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+            g_table = padded_table(pads_used[-1], ex.n)
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
         ex.hop(SERVER, client, o2, o3)
-        ex.correlate(state, y, o2)
-        apply_phase_pad(state, index, pads_used[-1], o3, ledger, "Ug")
+        ex.correlate(state, 1, o2)
+        apply_phase_pad(state, index, g_table, o3, ledger, "Ug")
         ex.hop(client, SERVER)
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, t, float(np.sum(x & y)) / num)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
@@ -363,33 +368,34 @@ def run_blind_client(
     per-round random basis choices and phase pads. Bases and pads are
     redrawn every round; the pipeline restores the exact baseline branch
     phases each round, so the readout statistics match the baseline."""
-    x, y = _validated_pair(x, y)
+    x, y = as_bits(x), as_bits(y)
     num = len(x)
-    ex = _Execution("blind-client", num)
+    ex = _Execution("blind-client", x, [y])
     if (force_basis is None or force_pad is None) and rng is None:
         raise GateError("need an rng to draw bases and pads")
     bases: list[BasisAssignment] = []
     pads: list[np.ndarray] = []
-    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
     o2, oa = ex.work
     client = client_name(1)
 
     def steps(state):
         r_bits = as_bits(force_basis) if force_basis is not None else random_bits(num, rng)
         h_bits = as_bits(force_pad) if force_pad is not None else random_bits(num, rng)
-        basis = BasisAssignment(r_bits, ex.sim.round_index)
-        bases.append(basis)
+        bases.append(BasisAssignment(r_bits, ex.sim.round_index))
         pads.append(h_bits)
-        apply_ux1(state, index, o1, x, basis, ledger)
+        rt, ht = padded_table(r_bits, ex.n), padded_table(h_bits, ex.n)
+        x_on, x_off = padded_table(x & r_bits, ex.n), padded_table(x & (1 - r_bits), ex.n)
+        apply_ux1(state, index, o1, xt, rt, ledger)
         ex.hop(SERVER, client, o2)
-        ex.correlate(state, y, o2)
+        ex.correlate(state, 1, o2)
         ex.hop(client, SERVER, oa)
-        apply_ux2(state, index, o1, oa, x, basis, ledger)
-        apply_ux3(state, index, h_bits, oa, ledger)
+        apply_ux2(state, index, o1, oa, xt, rt, x_off, ledger)
+        apply_ux3(state, index, ht, oa, ledger)
         ex.hop(SERVER, client, o2)
-        ex.correlate(state, y, o2)
+        ex.correlate(state, 1, o2)
         ex.hop(client, SERVER, oa)
-        apply_ux4(state, index, o1, oa, x, basis, h_bits, ledger)
+        apply_ux4(state, index, o1, oa, x_on, rt, ht, ledger)
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, 0, float(np.sum(x & y)) / num)
     run.pads = {"basis": bases, "h": pads}
@@ -427,8 +433,8 @@ def run_multiparty(
     if len(ys) < 2:
         raise GateError("cascade needs at least two clients")
     num = len(x)
-    ex = _Execution("multiparty", num, num_clients=len(ys))
-    truth = parity_fraction(x, ys)  # also checks the vector lengths
+    ex = _Execution("multiparty", x, ys)
+    truth = parity_fraction(x, ys)
 
     g = None
     if pad_first_client and pad_bits is not None:
@@ -439,20 +445,21 @@ def run_multiparty(
         if rng is None:
             raise GateError("need an rng to draw the pad")
         g = random_bits(num, rng)
-    index, o1, ledger = ex.index, ex.o1, ex.ledger
+    g_table = None if g is None else padded_table(g, ex.n)
+    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
 
     def steps(state):
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
         holder = SERVER
-        for k, (y, work) in enumerate(zip(ys, ex.work), start=1):
+        for k, work in enumerate(ex.work, start=1):
             party = client_name(k)
             ex.hop(holder, party, work)
             holder = party
-            ex.correlate(state, y, work)
-            if k == 1 and g is not None:
-                apply_phase_pad(state, index, g, work, ledger, "Ug")
+            ex.correlate(state, k, work)
+            if k == 1 and g_table is not None:
+                apply_phase_pad(state, index, g_table, work, ledger, "Ug")
         ex.hop(holder, SERVER)
-        apply_data_oracle(state, index, o1, x, ledger, "Ux")
+        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, 0, truth)
     if g is not None:

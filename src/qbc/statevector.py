@@ -13,6 +13,12 @@ value i has table[i] == 1). One helper, `_select`, turns both into a
 view of the amplitudes and a key into it, so no gate builds an array
 over all basis states. `bit_values` and `register_values` are read-outs
 kept for the tests and the adversary's uniformity check.
+
+The non-diagonal gates (h, x, cnot, swap) share one kernel, `apply_1q`,
+on the target's halves a0, a1: X swaps them without arithmetic, and H
+forms r*a0 +- r*a1 from the two shared products (r = 1/sqrt(2)), equal to
+the matrix product entry for entry. A predicated kernel works on a copy
+of the predicated rows and writes it back once.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ class InvariantViolation(RuntimeError):
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
+_R = H_MAT[0, 0]
 
 _SELF_INVERSE = {"h", "x", "z", "cz", "cnot", "swap", "reflect0"}
 _KINDS = _SELF_INVERSE | {"phase", "qft", "iqft"}
@@ -128,7 +134,7 @@ class StateVector:
             table = np.asarray(pred)
             if table.shape != (1 << k,):
                 raise GateError(f"predicate table shape {table.shape} does not fit width {k}")
-            rows = np.flatnonzero(table)
+            rows = table.nonzero()[0]
         view = self.amps.reshape((1 << k,) + (2,) * (self.num_qubits - k))
         key = [rows] + [slice(None)] * (self.num_qubits - k)
         for c in controls:
@@ -141,19 +147,26 @@ class StateVector:
     # -- single-qubit and diagonal gates ---------------------------------
 
     def apply_1q(self, u: np.ndarray, target: int, controls=(), index_reg=None, pred=None):
-        """Apply a 2x2 unitary to `target`, restricted by controls/predicate."""
+        """Apply H_MAT or X_MAT to `target`, restricted by controls/predicate."""
         self._check_qubit(target)
-        operands = set(controls) | (set(index_reg) if pred is not None and index_reg else set())
-        if target in operands:
-            raise GateError("target overlaps controls or index register")
         view, key = self._select(controls, index_reg, pred)
         axis = target + view.ndim - self.num_qubits
+        if axis < 1 or target in controls:
+            raise GateError("target overlaps controls or index register")
+        rows, key[0] = key[0], slice(None)
+        block = view if pred is None else view[rows]  # a copy of the predicated rows
         k0, k1 = (tuple(key[:axis] + [b] + key[axis + 1:]) for b in (0, 1))
-        a0, a1 = view[k0], view[k1]
-        # without a predicate a0 and a1 are views: compute both halves first
-        n0 = u[0, 0] * a0 + u[0, 1] * a1
-        n1 = u[1, 0] * a0 + u[1, 1] * a1
-        view[k0], view[k1] = n0, n1
+        a0, a1 = block[k0], block[k1]  # views: form both halves before writing
+        if u is X_MAT:
+            n0, n1 = a1, a0.copy()
+        elif u is H_MAT:
+            r0, r1 = _R * a0, _R * a1
+            n0, n1 = r0 + r1, r0 - r1
+        else:
+            raise GateError("apply_1q takes H_MAT or X_MAT")
+        block[k0], block[k1] = n0, n1
+        if pred is not None:
+            view[rows] = block
         return self
 
     def h(self, target, controls=(), index_reg=None, pred=None):

@@ -30,7 +30,6 @@ from qbc.bitplane import regression_demo
 from qbc.experiment import derive_rng
 from qbc.ledger import expected_ledger
 from qbc.oracles import (
-    BasisAssignment,
     CorrelationMode,
     apply_correlation_gate,
     apply_data_oracle,
@@ -38,6 +37,7 @@ from qbc.oracles import (
     apply_ux2,
     apply_ux3,
     apply_ux4,
+    padded_table,
     random_bits,
 )
 from qbc.protocol import (
@@ -213,17 +213,17 @@ def one_blind_client_round(x, y, r_bits, h_bits) -> StateVector:
     sv = StateVector(n + 3)
     for q in index:
         sv.h(q)
-    basis = BasisAssignment(r_bits, 1)
-    apply_ux1(sv, index, o1, x, basis)
-    apply_data_oracle(sv, index, o2, y, name="Uy")
+    xt, yt, rt, ht = (padded_table(bits, n) for bits in (x, y, r_bits, h_bits))
+    apply_ux1(sv, index, o1, xt, rt)
+    apply_data_oracle(sv, index, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y, name="Uy")
-    apply_ux2(sv, index, o1, oa, x, basis)
-    apply_ux3(sv, index, h_bits, oa)
-    apply_data_oracle(sv, index, o2, y, name="Uy")
+    apply_data_oracle(sv, index, o2, yt, name="Uy")
+    apply_ux2(sv, index, o1, oa, xt, rt, xt & (1 - rt))
+    apply_ux3(sv, index, ht, oa)
+    apply_data_oracle(sv, index, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y, name="Uy")
-    apply_ux4(sv, index, o1, oa, x, basis, h_bits)
+    apply_data_oracle(sv, index, o2, yt, name="Uy")
+    apply_ux4(sv, index, o1, oa, xt & rt, rt, ht)
     return sv
 
 

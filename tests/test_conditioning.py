@@ -103,6 +103,27 @@ def test_gates_match_mask_reference(seed):
         assert np.allclose(sv.amps, want, atol=1e-12, rtol=0), kind
 
 
+@pytest.mark.parametrize("predicated", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_x_swap_and_h_kernel_match_mask_reference_bitwise(seed, predicated):
+    # X only moves amplitudes and H forms r*a0 +- r*a1, so both agree
+    # with the reference's u[0, 0]*a0 + u[0, 1]*a1 value for value
+    rng = np.random.default_rng(1000 + seed)
+    nq = int(rng.integers(3, 7))
+    sv = random_state(nq, rng)
+    for _ in range(6):
+        k = int(rng.integers(1, nq)) if predicated else 0
+        table = rng.integers(0, 2, 1 << k) if predicated else None
+        free = [int(q) for q in rng.permutation(np.arange(k, nq))]
+        target, rest = free[0], free[1:]
+        controls = tuple(rest[: int(rng.integers(0, len(rest) + 1))])
+        index_reg = list(range(k)) if predicated else None
+        for kind, u in (("x", X_MAT), ("h", H_MAT)):
+            want = ref_1q(sv, u, target, controls, k, table)
+            getattr(sv, kind)(target, controls, index_reg, table)
+            assert np.array_equal(sv.amps, want), kind
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_readouts_match_mask_reference(seed):
     rng = np.random.default_rng(seed)
@@ -138,8 +159,12 @@ def test_readouts_match_mask_reference(seed):
     lambda sv: sv.phase(0.3, 2, controls=(0,), index_reg=[0], pred=[1, 1]),
     lambda sv: work_leakage(sv, [1, 3]),
     lambda sv: work_leakage(sv, [3, 4]),
+    lambda sv: sv.apply_1q(np.eye(2, dtype=complex), 3),
+    lambda sv: sv.x(3, controls=(3,)),
+    lambda sv: sv.h(1, index_reg=[0, 1], pred=[0, 1, 1, 1]),
 ], ids=["reg-offset", "reg-reordered", "reg-gap", "control-in-reg",
-        "target-in-reg", "phase-control-in-reg", "leak-gap", "leak-past-end"])
+        "target-in-reg", "phase-control-in-reg", "leak-gap", "leak-past-end",
+        "not-h-or-x", "target-is-control", "h-target-in-reg"])
 def test_malformed_conditions_rejected_without_touching_the_state(call):
     sv = random_state(4, np.random.default_rng(9))
     before = sv.amps.copy()

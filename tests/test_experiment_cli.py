@@ -345,6 +345,9 @@ def single_error_line(err: str) -> str:
     ["privacy", "--kind", "overlap", "--seed", "-1"],
     ["regression", "--n", "4", "--planes", "3", "--t", "3", "--seeds", "1", "--seed", "-1"],
     ["ledger-check", "--seed", "-1"],
+    ["privacy", "--kind", "overlap", "--grid", "0,0,2"],
+    ["privacy", "--kind", "recovery", "--grid", "0,0,0"],
+    ["attack", "--strategy", "plus-probe", "--t", "3", "--random-inputs", "--n", "-2"],
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2

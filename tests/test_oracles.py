@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qbc.ledger import ChannelLedger
 from qbc.oracles import (
-    BasisAssignment,
     CorrelationMode,
     GateError,
     PadRule,
@@ -45,18 +44,19 @@ def uniform_index_state(n: int, extra: int) -> StateVector:
 
 
 def apply_blind_client_round(sv, index, o1, o2, oa, x, y, r_bits, h_bits, ledger=None):
-    """One full uncontrolled channel round of the client-blinded variant."""
-    basis = BasisAssignment(r_bits, 1)
-    apply_ux1(sv, index, o1, x, basis, ledger=ledger)
-    apply_data_oracle(sv, index, o2, y, ledger=ledger, name="Uy")
+    """One full uncontrolled channel round of the client-blinded variant,
+    on the tables the protocol driver builds from the bits."""
+    xt, yt, rt, ht = (padded_table(bits, len(index)) for bits in (x, y, r_bits, h_bits))
+    apply_ux1(sv, index, o1, xt, rt, ledger=ledger)
+    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y, ledger=ledger, name="Uy")
-    apply_ux2(sv, index, o1, oa, x, basis, ledger=ledger)
-    apply_ux3(sv, index, h_bits, oa, ledger=ledger)
-    apply_data_oracle(sv, index, o2, y, ledger=ledger, name="Uy")
+    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
+    apply_ux2(sv, index, o1, oa, xt, rt, xt & (1 - rt), ledger=ledger)
+    apply_ux3(sv, index, ht, oa, ledger=ledger)
+    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y, ledger=ledger, name="Uy")
-    apply_ux4(sv, index, o1, oa, x, basis, h_bits, ledger=ledger)
+    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
+    apply_ux4(sv, index, o1, oa, xt & rt, rt, ht, ledger=ledger)
     return sv
 
 
@@ -138,7 +138,7 @@ def test_data_oracle_is_self_inverse():
 def test_data_oracle_zero_pads_short_vectors():
     # 3 data bits on a 2-qubit index: index 3 behaves as a fixed 0
     sv = uniform_index_state(2, 1)
-    apply_data_oracle(sv, [0, 1], 2, [1, 1, 1])
+    apply_data_oracle(sv, [0, 1], 2, padded_table([1, 1, 1], 2))
     vals = sv.register_values([0, 1])
     target = sv.bit_values(2)
     nz = np.abs(sv.amps) > 1e-12
@@ -184,6 +184,27 @@ def test_correlation_gate_rejects_same_qubit():
     sv = StateVector(2)
     with pytest.raises(GateError):
         apply_correlation_gate(sv, 1, 1, CorrelationMode.AND)
+
+
+@pytest.mark.parametrize("bad_len", [3, 5, 8])
+@pytest.mark.parametrize("call,slots", [
+    (lambda sv, t: apply_data_oracle(sv, [0, 1], 2, t[0]), 1),
+    (lambda sv, t: apply_phase_pad(sv, [0, 1], t[0], 2), 1),
+    (lambda sv, t: apply_ux1(sv, [0, 1], 2, t[0], t[1]), 2),
+    (lambda sv, t: apply_ux2(sv, [0, 1], 2, 3, t[0], t[1], t[2]), 3),
+    (lambda sv, t: apply_ux3(sv, [0, 1], t[0], 3), 1),
+    (lambda sv, t: apply_ux4(sv, [0, 1], 2, 3, t[0], t[1], t[2]), 3),
+], ids=["data", "pad", "ux1", "ux2", "ux3", "ux4"])
+def test_oracles_reject_wrong_table_length_without_touching_the_state(call, slots, bad_len):
+    # every table slot in turn gets a length other than 2**len(index_reg)
+    for slot in range(slots):
+        tables = [np.ones(4, dtype=np.uint8) for _ in range(slots)]
+        tables[slot] = np.ones(bad_len, dtype=np.uint8)
+        sv = uniform_index_state(2, 2)
+        before = sv.amps.copy()
+        with pytest.raises(GateError):
+            call(sv, tables)
+        assert np.array_equal(sv.amps, before), slot
 
 
 # -- pads -----------------------------------------------------------------------
@@ -251,7 +272,7 @@ def test_blind_server_composite_phase_is_product_plus_pad():
 def test_ux1_encodes_z_or_hadamard_basis():
     # one index qubit, two branches: R=[0,1], x=[1,1]
     sv = uniform_index_state(1, 1)
-    apply_ux1(sv, [0], 1, [1, 1], BasisAssignment([0, 1], 1))
+    apply_ux1(sv, [0], 1, [1, 1], [0, 1])
     s = 1 / np.sqrt(2)
     # branch 0: |1> on o1; branch 1: H|1> = (|0> - |1>)/sqrt(2)
     expect = np.array([0.0, s, s * s, -s * s])
@@ -264,13 +285,11 @@ def test_ux1_reversed_gate_list_is_inverse():
     n = 3
     x = random_bits(num, rng)
     r = random_bits(num, rng)
-    basis = BasisAssignment(r, 1)
     sv = uniform_index_state(n, 1)
     ref = sv.amps.copy()
-    apply_ux1(sv, list(range(n)), n, x, basis)
+    apply_ux1(sv, list(range(n)), n, x, r)
     # reversed list: the indexed H, then the data oracle
-    table = padded_table(r, n)
-    sv.h(n, index_reg=list(range(n)), pred=table)
+    sv.h(n, index_reg=list(range(n)), pred=r)
     apply_data_oracle(sv, list(range(n)), n, x)
     assert np.allclose(sv.amps, ref, atol=1e-10)
 
@@ -279,20 +298,19 @@ def test_ux2_requires_clear_scratch():
     sv = uniform_index_state(1, 2)
     sv.x(2)  # dirty oa
     with pytest.raises(GateError, match="scratch"):
-        apply_ux2(sv, [0], 1, 2, [1, 1], BasisAssignment([0, 0], 1))
+        apply_ux2(sv, [0], 1, 2, [1, 1], [0, 0], [1, 1])
 
 
 def test_ux4_detects_mismatched_unload():
     # claiming the wrong x at unload time must trip the reset check
     sv = uniform_index_state(1, 2)
-    basis = BasisAssignment([0, 0], 1)
-    apply_ux1(sv, [0], 1, [1, 1], basis)
+    apply_ux1(sv, [0], 1, [1, 1], [0, 0])
     from qbc.statevector import InvariantViolation
 
     with pytest.raises(InvariantViolation):
         # x=[1,1] was loaded in the Z basis; ux2 was skipped so o1 is
-        # still hot, and the masked unload cannot clear it
-        apply_ux4(sv, [0], 1, 2, [0, 0], basis, [0, 0])
+        # still hot, and the masked unload of x=[0,0] cannot clear it
+        apply_ux4(sv, [0], 1, 2, [0, 0], [0, 0], [0, 0])
 
 
 def test_pipeline_branch_table_exhaustive_n2():
@@ -374,7 +392,7 @@ def test_per_copy_carrier_matches_analytic_mixture():
         mats = []
         for r_bit in (0, 1):
             sv = StateVector(2)  # 1 index qubit, branch 0 only
-            apply_ux1(sv, [0], 1, [x_bit, x_bit], BasisAssignment([r_bit, r_bit], 1))
+            apply_ux1(sv, [0], 1, [x_bit, x_bit], [r_bit, r_bit])
             mats.append(sv.reduced_density([1]).mat)
         sims.append(0.5 * mats[0] + 0.5 * mats[1])
     from qbc.statevector import DensityMatrix

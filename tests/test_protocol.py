@@ -1,12 +1,14 @@
 """End-to-end protocol runs: channel ledgers, ownership, transcripts,
 blindness of the readout statistics, and estimator truth."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbc.oracles
 from qbc.ledger import ChannelLedger, expected_ledger
 from qbc.oracles import CorrelationMode, random_bits
 from qbc.protocol import (
@@ -44,6 +46,49 @@ def all_pairs(num: int):
             x = [(xi >> k) & 1 for k in range(num)]
             y = [(yi >> k) & 1 for k in range(num)]
             yield x, y
+
+
+# -- predicate tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("variant,fixed,per_round", [
+    ("baseline", 2, 0),                 # x, y
+    ("blind-server", 3, 0),             # x, y, g
+    ("blind-server-per-round", 3, 1),   # x, y, g; a new g from round 2 on
+    ("blind-client", 2, 4),             # x, y; r, h, x&r, x&~r each round
+    ("multiparty-padded", 5, 0),        # x, three ys, g
+    ("multiparty-unpadded", 3, 0),      # x, two ys
+])
+def test_tables_built_once_per_vector_and_round(monkeypatch, variant, fixed, per_round, exact):
+    # the oracles take tables, so a table rebuilt per gate shows up here
+    real, built = qbc.oracles.padded_table, []
+
+    def counting(bits, width):
+        built.append(width)
+        return real(bits, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qbc" and getattr(module, "padded_table", None) is real:
+            monkeypatch.setattr(module, "padded_table", counting)
+    rng = np.random.default_rng(31)
+    x, y, *ys = (random_bits(6, rng) for _ in range(5))
+    t = 3
+    runs = {
+        "baseline": lambda: run_qbc_baseline(x, y, t, rng=rng, return_distribution=exact),
+        "blind-server": lambda: run_blind_server(x, y, t, rng=rng, return_distribution=exact),
+        "blind-server-per-round": lambda: run_blind_server(
+            x, y, t, rng=rng, pad_per_round=True, return_distribution=exact),
+        "blind-client": lambda: run_blind_client(x, y, t, rng=rng, return_distribution=exact),
+        "multiparty-padded": lambda: run_multiparty(x, ys, t, rng=rng, return_distribution=exact),
+        "multiparty-unpadded": lambda: run_multiparty(
+            x, ys[:2], t, rng=rng, pad_first_client=False, return_distribution=exact),
+    }
+    run = runs[variant]()
+    rounds = run.ledger.grover_rounds
+    assert rounds == (1 << t) - 1
+    assert len(built) == fixed + per_round * (rounds - (variant == "blind-server-per-round"))
+    assert set(built) == {3}
 
 
 # -- basic runs -----------------------------------------------------------------
