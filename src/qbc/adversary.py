@@ -21,8 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .oracles import (
-    CorrelationMode, apply_correlation_gate, apply_data_oracle, as_bits, padded_table,
+    CorrelationMode, apply_correlation_gate, apply_data_oracle, as_bits, blind_server_pad,
+    padded_table,
 )
+from .protocol import index_width_for
 from .statevector import (
     DensityMatrix,
     GateError,
@@ -36,22 +38,6 @@ class AttackStrategy(enum.Enum):
     PLUS_PROBE = "plus-probe"
     BIASED_INDEX = "biased-index"
     BLIND_SERVER_WORST = "blind-server-worst"
-
-
-@dataclass
-class AttackConfig:
-    strategy: AttackStrategy
-    rounds: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise GateError("an attack needs at least one round")
-
-    @classmethod
-    def for_t(cls, strategy: AttackStrategy, t: int, seed: int = 0) -> "AttackConfig":
-        """Default round budget mirrors one protocol execution."""
-        return cls(strategy, (1 << t) - 1, seed)
 
 
 @dataclass
@@ -138,7 +124,7 @@ def attack_plus_probe(
     executions is reported against the occupancy formula.
     """
     y = as_bits(y)
-    n = max(1, (len(y) - 1).bit_length())
+    n = index_width_for(len(y))
     size = 1 << n
     if rounds is None:
         rounds = (1 << t) - 1
@@ -281,9 +267,9 @@ def holevo_quantity(y) -> float:
     """
     y = as_bits(y)
     num = len(y)
-    n = (num - 1).bit_length() if num > 1 else 1
-    if num < 2 or (1 << n) != num:
+    if num < 2 or num & (num - 1):
         raise GateError("ensemble construction needs N a power of two, N >= 2")
+    n = index_width_for(num)
     index = list(range(n))
     copy = list(range(n, 2 * n))
     o1 = 2 * n
@@ -293,8 +279,7 @@ def holevo_quantity(y) -> float:
     for a, b in zip(index, copy):
         sv.cnot(a, b)
     sv.h(o1)
-    table = np.asarray(y, dtype=np.uint8)
-    sv.z(o1, index_reg=index, pred=table)
+    sv.z(o1, index_reg=index, pred=y)
     rho = sv.reduced_density(index + [o1])
     avg_entropy = 0.0
     for yi in y:
@@ -402,7 +387,7 @@ def attack_blind_server_worst_case(
     num = len(y)
     d_y = int(np.sum(y))
     k = min((1 << t) - 1, d_y)
-    pads = (rng.integers(0, 2, size=num).astype(np.uint8)) & (1 - y)
+    pads = blind_server_pad(y, rng)
     sampled = rng.choice(num, size=min((1 << t) - 1, num), replace=False)
     guess_chars = ["?"] * num
     for j in sampled:

@@ -7,9 +7,10 @@ Subcommands:
   regression    inner product of a real column vs binary labels via bit-planes
   ledger-check  compare measured channel usage against the closed forms
 
-Exit codes: 0 success, 2 bad configuration, 3 simulation size cap,
-4 invariant violation (bad gate algebra, ownership breach, or a ledger
-mismatch). All JSON output is key-sorted so reruns with the same seed
+Exit codes: 0 success, 2 bad configuration (argparse's errors too), 3
+simulation size cap, 4 invariant violation (bad gate algebra, ownership
+breach, or a ledger mismatch); a failure prints one `error:` line on
+stderr. All JSON output is key-sorted so reruns with the same seed
 are byte-identical up to the elapsed_s timing fields.
 """
 from __future__ import annotations
@@ -53,6 +54,7 @@ OVERLAP_GRID = [
     for t in (2, 3)
 ]
 RECOVERY_GRID = [(num, num // 2, c) for num in (4, 6, 8) for c in range(num // 2 + 1)]
+EXIT_CODES = {CapExceeded: 3, InvariantViolation: 4, GateError: 2, OSError: 2}
 
 
 def _emit(text: str, out: str | None):
@@ -92,8 +94,13 @@ def _require_at_least(flag: str, value: int, least: int):
         raise GateError(f"{flag} must be at least {least}, got {value}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # report on main's one error path, without the usage block
+        raise GateError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbc",
         description="Distributed inner-product estimation on a statevector simulator.",
     )
@@ -165,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    for flag, value in (("--n", args.n), ("--t", args.t), ("--trials", args.trials),
+                        ("--redundancy-m", args.redundancy_m)):
+        _require_at_least(flag, value, 1)
     if args.protocol == "multiparty":
         _require_at_least("--m", args.m, 2)
     cfg = ExperimentConfig(
@@ -178,17 +188,13 @@ def cmd_run(args) -> int:
         x_path=args.x_file,
         y_path=args.y_file,
         random_inputs=args.random_inputs,
-        out=args.out,
-        fmt=args.format,
         include_transcript=args.transcript,
         redundancy_m=args.redundancy_m,
         redundancy_rule=args.redundancy_rule,
     )
     records = run_experiment(cfg)
-    if cfg.fmt == "csv":
-        _emit(records_to_csv(records), cfg.out)
-    else:
-        _emit(records_to_json(cfg, records), cfg.out)
+    text = records_to_csv(records) if args.format == "csv" else records_to_json(cfg, records)
+    _emit(text, args.out)
     return 0
 
 
@@ -207,6 +213,12 @@ def cmd_attack(args) -> int:
     rng = derive_rng(args.seed, 1)
     if strategy is AttackStrategy.BIASED_INDEX:
         width = index_width_for(args.n)
+        if not 0 <= args.focus < 1 << width:
+            raise GateError(f"--focus must lie in [0, {1 << width}), got {args.focus}")
+        if not 0.0 <= args.focus_prob <= 1.0:
+            raise GateError(f"--focus-prob must lie in [0, 1], got {args.focus_prob}")
+        if width > max_qubits():  # the index register is the whole state
+            raise CapExceeded(width, max_qubits())
         trials = args.trials if args.trials > 0 else 1000
         payload = attack_biased_index(width, args.focus, args.focus_prob, rng, trials)
     else:
@@ -238,6 +250,7 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_regression(args) -> int:
+    _require_at_least("--n", args.n, 1)
     _require_at_least("--seeds", args.seeds, 1)
     _require_at_least("--t", args.t, 1)
     _require_at_least("--planes", args.planes, 1)
@@ -322,8 +335,6 @@ def cmd_ledger_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": cmd_run,
         "attack": cmd_attack,
@@ -332,20 +343,12 @@ def main(argv=None) -> int:
         "ledger-check": cmd_ledger_check,
     }
     try:
+        args = build_parser().parse_args(argv)
         _require_at_least("--seed", args.seed, 0)  # every subcommand has one
         return handlers[args.command](args)
-    except CapExceeded as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -90,8 +90,6 @@ class ExperimentConfig:
     x_path: str | None = None
     y_path: str | None = None
     random_inputs: bool = False
-    out: str | None = None
-    fmt: str = "json"
     include_transcript: bool = False
     redundancy_m: int = 1
     redundancy_rule: str = RedundancyRule.HIDE_AMONG_ZEROS.value
@@ -105,8 +103,6 @@ class ExperimentConfig:
             raise GateError("t must be at least 1")
         if self.trials < 1:
             raise GateError("trials must be at least 1")
-        if self.fmt not in ("json", "csv"):
-            raise GateError(f"unknown output format {self.fmt!r}")
         files_given = self.x_path is not None or self.y_path is not None
         if files_given == self.random_inputs:
             raise GateError("provide input files or request random inputs, not both")
@@ -218,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             x_run, y_run, _ = redundant_encode(x, ys[0], cfg.redundancy_m, rule, rng)
             run = run_protocol(cfg, x_run, [y_run], rng)
             raw = run.recovered_estimate if run.recovered_estimate is not None else run.estimate
-            decoded = float(
+            recovered = float(
                 redundant_decode(
                     raw,
                     cfg.redundancy_m,
@@ -228,7 +224,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
                 )
             )
             truth = float(np.sum(x & ys[0])) / cfg.num_values
-            recovered = decoded
             estimate = run.estimate
             view = run.server_view_truth
         else:

@@ -4,7 +4,9 @@ The data oracle XORs a classical bit table into a work qubit, indexed by
 the index register: |i>|b> -> |i>|b xor table_i>. Composing two data
 oracles with a correlation gate between the work qubits imprints the
 product (or XOR) of the two parties' bits as a phase on branch i. Pads
-and basis assignments support the blinded protocol variants.
+and basis assignments support the blinded protocol variants. The one
+constrained pad, `blind_server_pad`, is zero on the owner's support;
+every other pad is uniform `random_bits`.
 
 Oracles take padded tables; the driver builds them. `padded_table`, the
 one table builder, checks a bit vector and zero-pads it to the
@@ -27,19 +29,6 @@ from .statevector import GateError, InvariantViolation, StateVector
 class CorrelationMode(enum.Enum):
     AND = "and"
     XOR = "xor"
-
-
-class PadRule(enum.Enum):
-    """How a random phase pad is drawn.
-
-    BLIND_SERVER_G: zero wherever the pad owner's bit is 1, uniform
-    elsewhere, so padded products never wrap mod 2 and the pad mean can
-    be subtracted exactly.
-    BLIND_CLIENT_H: uniform everywhere.
-    """
-
-    BLIND_SERVER_G = "blind-server-g"
-    BLIND_CLIENT_H = "blind-client-h"
 
 
 @dataclass(frozen=True)
@@ -153,14 +142,12 @@ def apply_correlation_gate(state, o1, o2, mode: CorrelationMode):
     return state
 
 
-def gen_pad(rule: PadRule, y, rng: np.random.Generator) -> np.ndarray:
-    """Draw a phase pad per `rule`; y is the pad owner's bit vector."""
+def blind_server_pad(y, rng: np.random.Generator) -> np.ndarray:
+    """The blind-server pad g: uniform bits, zeroed wherever the pad
+    owner's bit y_i is 1, so padded products never wrap mod 2 and the
+    pad mean can be subtracted exactly."""
     y = as_bits(y)
-    if rule is PadRule.BLIND_SERVER_G:
-        return (random_bits(len(y), rng) & (1 - y)).astype(np.uint8)
-    if rule is PadRule.BLIND_CLIENT_H:
-        return random_bits(len(y), rng)
-    raise GateError(f"unknown pad rule {rule!r}")
+    return random_bits(len(y), rng) & (1 - y)
 
 
 def apply_phase_pad(state, index_reg, pad, ancilla, ledger=None, name="Ug"):

@@ -15,6 +15,8 @@ One private driver lays out index qubits [0, n), o1 at n and the work
 qubits after it; keeps the ownership map, ledger and transcript; frames
 each round (begin, the server's hold on the carrier, the steps, end,
 the round hook); and samples the counting readout or returns its law.
+The round counter is the ledger's `grover_rounds`, and a round's
+transcript rows are the ones appended since the round began.
 
 The oracles take padded tables, built when their bits are drawn: the
 driver builds those of x, of each client's y and of a fixed pad g once
@@ -59,7 +61,6 @@ from .ledger import ChannelLedger
 from .oracles import (
     BasisAssignment,
     CorrelationMode,
-    PadRule,
     apply_correlation_gate,
     apply_data_oracle,
     apply_phase_pad,
@@ -68,7 +69,7 @@ from .oracles import (
     apply_ux3,
     apply_ux4,
     as_bits,
-    gen_pad,
+    blind_server_pad,
     padded_table,
     random_bits,
 )
@@ -111,20 +112,22 @@ class ProtocolSim:
         self.ledger = ledger
         self.transcript: list[TranscriptEntry] = []
         self.server_home = list(server_home)
-        self.round_index = 0
-        self._round_rows: list[int] = []
+        self._round_start = 0
         self._round_call_base = 0
 
+    @property
+    def round_index(self) -> int:
+        return self.ledger.grover_rounds
+
     def begin_round(self):
-        self.round_index += 1
         self.ledger.grover_rounds += 1
-        self._round_rows = []
+        self._round_start = len(self.transcript)
         self._round_call_base = self.ledger.oracle_total()
 
     def end_round(self):
         calls = self.ledger.oracle_total() - self._round_call_base
-        for row in self._round_rows:
-            self.transcript[row].oracle_calls = calls
+        for entry in self.transcript[self._round_start:]:
+            entry.oracle_calls = calls
         self.require_owner(SERVER, self.server_home)
 
     def require_owner(self, party: str, qubits):
@@ -141,7 +144,6 @@ class ProtocolSim:
             self.owners[q] = dst
         self.ledger.quantum_qubits_sent += len(qubits)
         self.transcript.append(TranscriptEntry(self.round_index, src, dst, len(qubits)))
-        self._round_rows.append(len(self.transcript) - 1)
 
 
 @dataclass
@@ -316,7 +318,7 @@ def run_blind_server(
     if pad_bits is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
-        g = gen_pad(PadRule.BLIND_SERVER_G, y, rng)
+        g = blind_server_pad(y, rng)
     else:
         if pad_per_round:
             raise GateError("a forced pad and per-round redraws are incompatible")
@@ -334,7 +336,7 @@ def run_blind_server(
     def steps(state):
         nonlocal g_table
         if pad_per_round and ex.sim.round_index > 1:
-            pads_used.append(gen_pad(PadRule.BLIND_SERVER_G, y, rng))
+            pads_used.append(blind_server_pad(y, rng))
             g_table = padded_table(pads_used[-1], ex.n)
         apply_data_oracle(state, index, o1, xt, ledger, "Ux")
         ex.hop(SERVER, client, o2, o3)
@@ -402,9 +404,8 @@ def run_blind_client(
     return run
 
 
-def parity_fraction(x, ys) -> float:
-    """Classical oracle for the cascade: the mean over indices of the
-    parity of the per-client products."""
+def _parity(x, ys) -> np.ndarray:
+    """Per-index parity of the per-client products x AND y_k."""
     x = as_bits(x)
     parity = np.zeros(len(x), dtype=np.uint8)
     for y in ys:
@@ -412,7 +413,13 @@ def parity_fraction(x, ys) -> float:
         if len(y) != len(x):
             raise GateError("client vectors must match the server length")
         parity ^= x & y
-    return float(np.sum(parity)) / len(x)
+    return parity
+
+
+def parity_fraction(x, ys) -> float:
+    """Classical oracle for the cascade: the mean over indices of the
+    parity of the per-client products."""
+    return float(np.sum(_parity(x, ys))) / len(x)
 
 
 def run_multiparty(
@@ -434,7 +441,7 @@ def run_multiparty(
         raise GateError("cascade needs at least two clients")
     num = len(x)
     ex = _Execution("multiparty", x, ys)
-    truth = parity_fraction(x, ys)
+    parity = _parity(x, ys)
 
     g = None
     if pad_first_client and pad_bits is not None:
@@ -461,11 +468,8 @@ def run_multiparty(
         ex.hop(holder, SERVER)
         apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, truth)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, float(np.sum(parity)) / num)
     if g is not None:
-        parity = np.zeros(num, dtype=np.uint8)
-        for y in ys:
-            parity ^= x & y
         run.server_view_truth = float(np.sum(parity ^ g)) / num
         run.pads = {"g": g}
     return run

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from qbc.adversary import (
     MC_BLOCK_VALUES,
-    AttackConfig,
-    AttackStrategy,
     RedundancyRule,
     attack_biased_index,
     attack_blind_server_worst_case,
@@ -149,13 +147,6 @@ def test_probe_learned_set_mc_within_bands():
         mc = report.mc_pmf.get(d, 0.0)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(mc - p) <= 3 * sigma + 1e-12, (d, p, mc)
-
-
-def test_attack_config_budget():
-    cfg = AttackConfig.for_t(AttackStrategy.PLUS_PROBE, 4)
-    assert cfg.rounds == 15
-    with pytest.raises(GateError):
-        AttackConfig(AttackStrategy.PLUS_PROBE, 0)
 
 
 # -- index uniformity check ------------------------------------------------------

@@ -70,10 +70,7 @@ INVALID_FLAGS = [
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own errors
-            code = exc.code
+        code = main(argv)  # argparse's own errors included: main never exits
     return code, out.getvalue(), err.getvalue()
 
 

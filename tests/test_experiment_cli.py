@@ -1,5 +1,6 @@
 """Experiment harness and command line front end."""
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -24,8 +25,9 @@ from qbc.experiment import (
     records_to_json,
     run_experiment,
 )
-from qbc.ledger import ChannelLedger
+from qbc.ledger import VARIANTS, ChannelLedger
 from qbc.oracles import CorrelationMode
+from qbc.protocol import index_width_for
 from qbc.statevector import GateError
 
 
@@ -54,7 +56,6 @@ def test_config_validation_matrix():
         dict(ok, num_values=0),
         dict(ok, t=0),
         dict(ok, trials=0),
-        dict(ok, fmt="yaml"),
         dict(ok, x_path="x.txt"),  # files and random together
         dict(ok, random_inputs=False),  # neither source
         dict(protocol="baseline", num_values=4, t=2, x_path="x.txt", random_inputs=False),
@@ -348,12 +349,80 @@ def single_error_line(err: str) -> str:
     ["privacy", "--kind", "overlap", "--grid", "0,0,2"],
     ["privacy", "--kind", "recovery", "--grid", "0,0,0"],
     ["attack", "--strategy", "plus-probe", "--t", "3", "--random-inputs", "--n", "-2"],
+    ["run", "--t", "2", "--random-inputs", "--n", "0"],
+    ["run", "--n", "4", "--random-inputs", "--t", "0"],
+    ["run", "--n", "4", "--t", "2", "--random-inputs", "--trials", "0"],
+    ["run", "--n", "4", "--t", "2", "--random-inputs", "--redundancy-m", "0"],
+    ["regression", "--planes", "3", "--t", "3", "--seeds", "1", "--n", "0"],
+    ["attack", "--strategy", "biased-index", "--n", "8", "--t", "2", "--focus", "99"],
+    ["attack", "--strategy", "biased-index", "--n", "8", "--t", "2", "--focus-prob", "2"],
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[-2] in single_error_line(captured.err)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--t", "2", "--random-inputs"], "--n"),  # a required flag is missing
+    (["run", "--n", "4", "--t", "2", "--random-inputs", "--protocol", "nope"], "--protocol"),
+    (["run", "--t", "2", "--random-inputs", "--n", "x"], "--n"),
+])
+def test_cli_parser_errors_take_the_one_error_path(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in single_error_line(captured.err)  # no usage block
+
+
+SMALL_CAP = 8
+
+
+def first_over_cap(budget) -> int:
+    """The smallest k >= 1 whose qubit budget(k) exceeds SMALL_CAP."""
+    return next(k for k in itertools.count(1) if budget(k) > SMALL_CAP)
+
+
+def values_for_width(width: int) -> int:
+    """The smallest N > 1 whose index register is `width` qubits wide."""
+    num = (1 << (width - 1)) + 1
+    assert index_width_for(num) == width
+    return num
+
+
+def over_cap_argvs():
+    """One argv per capped subcommand and variant, sized one qubit (or
+    one readout round) over SMALL_CAP, so the cap refuses it before any
+    state of that size is allocated."""
+    t = 2
+    for variant in VARIANTS:
+        width = first_over_cap(lambda w: qubit_budget(variant, w, t, 3))
+        yield ["run", "--protocol", variant, "--n", str(values_for_width(width)),
+               "--t", str(t), "--m", "3", "--random-inputs"]
+    probe_n = values_for_width(first_over_cap(lambda w: qubit_budget("baseline", w, t)))
+    for strategy in ("plus-probe", "blind-server-worst"):
+        yield ["attack", "--strategy", strategy, "--n", str(probe_n), "--t", str(t),
+               "--random-inputs"]
+    # the biased-index state is the index register alone, whatever --t says
+    yield ["attack", "--strategy", "biased-index", "--n",
+           str(values_for_width(first_over_cap(lambda w: w))), "--t", "1"]
+    for variant in ("baseline", "blind-client"):
+        width = first_over_cap(lambda w: qubit_budget(variant, w, t))
+        yield ["regression", "--variant", variant, "--n", str(values_for_width(width)),
+               "--planes", "2", "--t", str(t), "--seeds", "1"]
+    # the sweep's first row (N=2, t=1) is under the cap; the baseline row at t=max_t is not
+    max_t = first_over_cap(lambda k: qubit_budget("baseline", 1, k))
+    yield ["ledger-check", "--max-n", "2", "--max-t", str(max_t)]
+
+
+@pytest.mark.parametrize("argv", list(over_cap_argvs()), ids=lambda a: " ".join(a[:3]))
+def test_every_capped_subcommand_exits_3_over_the_cap(argv, monkeypatch, capsys):
+    monkeypatch.setenv("QBC_MAX_QUBITS", str(SMALL_CAP))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QBC_MAX_QUBITS" in single_error_line(captured.err)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", "0"])
@@ -397,3 +466,36 @@ def test_run_output_bytes_are_pinned(protocol, n, t, capsys):
     kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
                    if "elapsed_s" not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == RUN_DIGESTS[(protocol, n, t)]
+
+
+# sha256 of each subcommand's stdout with the elapsed_s lines removed
+SUBCOMMAND_DIGESTS = {
+    # plus-probe at t <= 6 runs live statevector probes; at t = 7 its 127
+    # rounds are drawn classically
+    "attack --strategy plus-probe --n 8 --t 3 --seed 2 --random-inputs --trials 50":
+        "20b5420b7607aa28d9eff59de6eb25c8d1b600f1a2a7b7eb2ddf0671900f16d7",
+    "attack --strategy plus-probe --n 16 --t 7 --seed 2 --random-inputs --trials 20":
+        "5a88940e8e35a43c1a8eaa818d60bdb6138b146bd77ee39389bc159259e0abfb",
+    "attack --strategy blind-server-worst --n 16 --t 3 --seed 2 --random-inputs --trials 50":
+        "c0297e01bc4fce6c12b88a7137ecabe749388e7ee28380c3a4ed4031510ce4d0",
+    "attack --strategy biased-index --n 8 --t 2 --seed 2 --trials 30 --focus 3":
+        "2bc9aa11d0c4c665d1f4a485c174eb8159ec7ffddaf857f668374ab7b39df716",
+    "privacy --kind overlap --trials 200 --seed 2":
+        "5e470080014d5c023641cab26f9993c3656db119e3acf5077c136ad685e16368",
+    "privacy --kind recovery":
+        "5397a56174a337c41f0fd059e3dc172b15765b39c5e41434d420794ccaeb7caf",
+    "regression --n 4 --planes 3 --t 4 --seeds 2 --seed 2":
+        "4a805794ea06ecbe5c02428284acf85a6c9ede46f90e97dbce2397b826c82276",
+    "regression --n 4 --planes 2 --t 3 --seeds 2 --seed 2 --variant blind-client":
+        "ded02274acae33cece1ef49aae3092f93b1d6e09f02700d184a41d6c9e7259bd",
+    "ledger-check --max-n 4 --max-t 2 --m 3 --seed 2":
+        "529e48096a2eac95df56d87643d656ae833d45705f190b93142ecbbf5d3dfaac",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_DIGESTS))
+def test_subcommand_output_bytes_are_pinned(command, capsys):
+    assert main(command.split()) == 0
+    kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
+                   if "elapsed_s" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == SUBCOMMAND_DIGESTS[command]

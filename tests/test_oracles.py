@@ -16,7 +16,6 @@ from qbc.ledger import ChannelLedger
 from qbc.oracles import (
     CorrelationMode,
     GateError,
-    PadRule,
     apply_correlation_gate,
     apply_data_oracle,
     apply_phase_pad,
@@ -26,7 +25,7 @@ from qbc.oracles import (
     apply_ux4,
     as_bits,
     bits_from_string,
-    gen_pad,
+    blind_server_pad,
     load_bitstrings,
     padded_table,
     random_bits,
@@ -212,16 +211,14 @@ def test_oracles_reject_wrong_table_length_without_touching_the_state(call, slot
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=32), st.integers(0, 2**31 - 1))
-def test_gen_pad_server_rule_avoids_support(y, seed):
+def test_blind_server_pad_avoids_support(y, seed):
     rng = np.random.default_rng(seed)
-    g = gen_pad(PadRule.BLIND_SERVER_G, y, rng)
+    g = blind_server_pad(y, rng)
     assert not np.any(g & np.array(y, dtype=np.uint8))
-
-
-def test_gen_pad_client_rule_is_unconstrained():
-    rng = np.random.default_rng(1)
-    draws = [gen_pad(PadRule.BLIND_CLIENT_H, np.zeros(16, dtype=np.uint8), rng) for _ in range(20)]
-    assert any(d.any() for d in draws)
+    # one uniform draw per index, masked: the stream a plain random_bits draw takes
+    same = np.random.default_rng(seed)
+    assert np.array_equal(g, random_bits(len(y), same) & (1 - np.array(y, dtype=np.uint8)))
+    assert rng.bit_generator.state == same.bit_generator.state
 
 
 def test_phase_pad_imprints_sign_and_clears_ancilla():
@@ -249,7 +246,7 @@ def test_blind_server_composite_phase_is_product_plus_pad():
         n = max(1, (num - 1).bit_length())
         x = random_bits(num, rng)
         y = random_bits(num, rng)
-        g = gen_pad(PadRule.BLIND_SERVER_G, y, rng)
+        g = blind_server_pad(y, rng)
         index = list(range(n))
         o1, o2, o3 = n, n + 1, n + 2
         sv = uniform_index_state(n, 3)
