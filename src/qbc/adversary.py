@@ -488,20 +488,26 @@ def redundant_encode(
     return x_wide, y_wide, RedundantEncoding(copies, rule, slots)
 
 
-def redundant_decode(raw_mean, copies: int, rule: RedundancyRule, sum_x=None, num_values=None):
-    """Invert the widened-instance mean back to the true one. Works on
+def redundant_rescale(raw_mean, copies: int, rule: RedundancyRule, sum_x=None, num_values=None):
+    """Map a widened-instance mean back to the scale of the true one,
+    unchecked, so a sampled estimate may land outside [0, 1]. Works on
     floats or Fractions; HIDE_AMONG_ONES needs the x-owner's sum_x and N
     to remove the fill shift."""
     if rule is RedundancyRule.HIDE_AMONG_ZEROS:
-        value = raw_mean * copies
+        return raw_mean * copies
+    if sum_x is None or num_values is None:
+        raise GateError("hide-among-ones decoding needs sum_x and the vector length")
+    if isinstance(raw_mean, Fraction):
+        shift = Fraction(sum_x, num_values)
     else:
-        if sum_x is None or num_values is None:
-            raise GateError("hide-among-ones decoding needs sum_x and the vector length")
-        if isinstance(raw_mean, Fraction):
-            shift = Fraction(sum_x, num_values)
-        else:
-            shift = sum_x / num_values
-        value = raw_mean * copies - (copies - 1) * shift
+        shift = sum_x / num_values
+    return raw_mean * copies - (copies - 1) * shift
+
+
+def redundant_decode(raw_mean, copies: int, rule: RedundancyRule, sum_x=None, num_values=None):
+    """Invert an exact widened-instance mean back to the true one, which
+    must lie in [0, 1]."""
+    value = redundant_rescale(raw_mean, copies, rule, sum_x, num_values)
     if not -1e-9 <= float(value) <= 1.0 + 1e-9:
         raise GateError(f"decoded mean {float(value)} outside [0, 1]; inputs inconsistent")
     return value

@@ -177,6 +177,8 @@ def cmd_run(args) -> int:
         _require_at_least(flag, value, 1)
     if args.protocol == "multiparty":
         _require_at_least("--m", args.m, 2)
+    if args.transcript and args.format == "csv":
+        raise GateError("--transcript needs --format json; the csv table has no transcript")
     cfg = ExperimentConfig(
         protocol=args.protocol,
         num_values=args.n,

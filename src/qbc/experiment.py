@@ -21,8 +21,8 @@ from .adversary import (
     overlap_mc_pmf,
     overlap_pmf,
     pr_exact_recovery,
-    redundant_decode,
     redundant_encode,
+    redundant_rescale,
 )
 from .ledger import VARIANTS
 from .oracles import CorrelationMode, load_bitstrings, random_bits
@@ -105,11 +105,13 @@ class ExperimentConfig:
             raise GateError("trials must be at least 1")
         files_given = self.x_path is not None or self.y_path is not None
         if files_given == self.random_inputs:
-            raise GateError("provide input files or request random inputs, not both")
+            raise GateError("give --x-file and --y-file, or --random-inputs, not both")
         if files_given and (self.x_path is None or self.y_path is None):
-            raise GateError("x and y input files must both be given")
+            raise GateError("--x-file and --y-file must both be given")
         if self.redundancy_m < 1:
             raise GateError("redundancy factor must be at least 1")
+        if self.mode is not CorrelationMode.AND and self.protocol != "baseline":
+            raise GateError(f"--mode {self.mode.value} needs --protocol baseline")
         if self.redundancy_m > 1:
             RedundancyRule(self.redundancy_rule)
             if self.protocol == "multiparty":
@@ -210,37 +212,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, trial)
         start = time.perf_counter()
+        run_x, run_ys = x, ys
         if cfg.redundancy_m > 1:
-            x_run, y_run, _ = redundant_encode(x, ys[0], cfg.redundancy_m, rule, rng)
-            run = run_protocol(cfg, x_run, [y_run], rng)
-            raw = run.recovered_estimate if run.recovered_estimate is not None else run.estimate
-            recovered = float(
-                redundant_decode(
-                    raw,
-                    cfg.redundancy_m,
-                    rule,
-                    sum_x=int(np.sum(x)),
-                    num_values=cfg.num_values,
-                )
-            )
+            run_x, y_wide, _ = redundant_encode(x, ys[0], cfg.redundancy_m, rule, rng)
+            run_ys = [y_wide]
+        run = run_protocol(cfg, run_x, run_ys, rng)
+        recovered, truth = run.recovered_estimate, run.truth
+        if cfg.redundancy_m > 1:
+            raw = recovered if recovered is not None else run.estimate
+            recovered = float(redundant_rescale(raw, cfg.redundancy_m, rule, int(np.sum(x)),
+                                                cfg.num_values))
             truth = float(np.sum(x & ys[0])) / cfg.num_values
-            estimate = run.estimate
-            view = run.server_view_truth
-        else:
-            run = run_protocol(cfg, x, ys, rng)
-            estimate = run.estimate
-            recovered = run.recovered_estimate
-            truth = run.truth
-            view = run.server_view_truth
         elapsed = time.perf_counter() - start
-        best = recovered if recovered is not None else estimate
+        best = recovered if recovered is not None else run.estimate
         records.append(
             RunRecord(
                 run_id=trial,
-                estimate=estimate,
+                estimate=run.estimate,
                 recovered_estimate=recovered,
                 truth=truth,
-                server_view_truth=view,
+                server_view_truth=run.server_view_truth,
                 abs_error=abs(best - truth),
                 outcome_j=run.result.j,
                 ledger=run.ledger.as_dict(),

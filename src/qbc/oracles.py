@@ -4,7 +4,7 @@ The data oracle XORs a classical bit table into a work qubit, indexed by
 the index register: |i>|b> -> |i>|b xor table_i>. Composing two data
 oracles with a correlation gate between the work qubits imprints the
 product (or XOR) of the two parties' bits as a phase on branch i. Pads
-and basis assignments support the blinded protocol variants. The one
+and per-round basis bits support the blinded protocol variants. The one
 constrained pad, `blind_server_pad`, is zero on the owner's support;
 every other pad is uniform `random_bits`.
 
@@ -18,7 +18,6 @@ checks only each table's length, before it touches the state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +28,6 @@ from .statevector import GateError, InvariantViolation, StateVector
 class CorrelationMode(enum.Enum):
     AND = "and"
     XOR = "xor"
-
-
-@dataclass(frozen=True)
-class BasisAssignment:
-    """Per-index basis choice for one round: 0 = computational, 1 = Hadamard."""
-
-    bits: np.ndarray
-    round_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", as_bits(self.bits))
 
 
 # -- classical bit vectors ------------------------------------------------

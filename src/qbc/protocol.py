@@ -10,11 +10,16 @@ round of the baseline protocol:
     server uncomputes; the counting layer applies the diffusion.
 
 A variant supplies its work-qubit owners (`work_owners`) and a closure
-of party steps, which moves the index register and carrier with `hop`.
-One private driver lays out index qubits [0, n), o1 at n and the work
-qubits after it; keeps the ownership map, ledger and transcript; frames
-each round (begin, the server's hold on the carrier, the steps, end,
-the round hook); and samples the counting readout or returns its law.
+of party steps, which moves the index register and carrier with `hop`;
+it keeps only those steps and its own pad rules. One private driver
+converts the inputs to bits; computes their joint bits (x XOR y in XOR
+mode, else the parity of the per-client products x AND y_k) and the
+truth from them; checks every caller-fixed pad or basis draw against
+the data length before any round runs; lays out index qubits [0, n),
+o1 at n and the work qubits after it; keeps the ownership map, ledger
+and transcript; frames each round (begin, the server's hold on the
+carrier, the steps, end, the round hook); and samples the counting
+readout or returns its law.
 The round counter is the ledger's `grover_rounds`, and a round's
 transcript rows are the ones appended since the round began.
 
@@ -59,7 +64,6 @@ import numpy as np
 from .counting import CountingConfig, EstimateResult, counting_distribution, run_counting
 from .ledger import ChannelLedger
 from .oracles import (
-    BasisAssignment,
     CorrelationMode,
     apply_correlation_gate,
     apply_data_oracle,
@@ -191,16 +195,26 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
 
 
 class _Execution:
-    """One protocol execution: the layout, ledger, ProtocolSim and data
-    tables of a variant, and the round frame that every variant shares."""
+    """One protocol execution: the inputs as bits, their joint bits and
+    truth, the layout, ledger, ProtocolSim and data tables of a variant,
+    and the round frame that every variant shares."""
 
     def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND):
+        self.x = x = as_bits(x)
+        self.ys = ys = [as_bits(y) for y in ys]
         self.variant = variant
         self.num_values = len(x)
         self.mode = mode
         self.n = n = index_width_for(len(x))
         if any(len(y) != len(x) for y in ys):
             raise GateError("client vectors must match the server length")
+        if mode is CorrelationMode.XOR:
+            self.joint = x ^ ys[0]
+        else:  # the parity of the per-client products; x AND y for one client
+            self.joint = np.zeros_like(x)
+            for y in ys:
+                self.joint ^= x & y
+        self.truth = float(np.sum(self.joint)) / len(x)
         self.x_table = padded_table(x, n)
         self.y_tables = [padded_table(y, n) for y in ys]
         holders = work_owners(variant, len(ys))
@@ -212,6 +226,16 @@ class _Execution:
         owners.update(zip(self.work, holders))
         self.ledger = ChannelLedger()
         self.sim = ProtocolSim(owners, self.ledger, self.index)
+
+    def fixed_draw(self, bits, name: str):
+        """A caller-fixed pad or basis draw as bits, or None to leave it to
+        the rng; checked against the data length before any round runs."""
+        if bits is None:
+            return None
+        bits = as_bits(bits)
+        if len(bits) != self.num_values:
+            raise GateError(f"{name} length must match the data length {self.num_values}")
+        return bits
 
     def hop(self, src: str, dst: str, *work: int):
         """Send the index register and carrier from src to dst, which then
@@ -227,7 +251,7 @@ class _Execution:
         apply_correlation_gate(state, self.o1, target, self.mode)
         apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
 
-    def run(self, steps, t, rng, return_distribution, round_hook, result_bits, truth):
+    def run(self, steps, t, rng, return_distribution, round_hook, result_bits):
         """Count over the rounds `steps` makes, then return the exact
         readout law or sample it and send result_bits to the client."""
         sim = self.sim
@@ -259,8 +283,8 @@ class _Execution:
             result=result,
             estimate=estimate,
             recovered_estimate=None,
-            truth=truth,
-            server_view_truth=truth,
+            truth=self.truth,
+            server_view_truth=self.truth,
             ledger=self.ledger,
             transcript=sim.transcript,
             distribution=dist,
@@ -277,7 +301,6 @@ def run_qbc_baseline(
     round_hook=None,
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
-    x, y = as_bits(x), as_bits(y)
     ex = _Execution("baseline", x, [y], mode=mode)
     index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
     (o2,) = ex.work
@@ -290,9 +313,7 @@ def run_qbc_baseline(
         ex.hop(client, SERVER)
         apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
-    joint = x & y if mode is CorrelationMode.AND else x ^ y
-    truth = float(np.sum(joint)) / len(x)
-    return ex.run(steps, t, rng, return_distribution, round_hook, t, truth)
+    return ex.run(steps, t, rng, return_distribution, round_hook, t)
 
 
 def run_blind_server(
@@ -312,21 +333,17 @@ def run_blind_server(
     iterates and breaks exact recovery. pad_per_round=True enables that
     regime anyway so the resulting estimator bias can be studied; the
     recovery then subtracts the average pad mean."""
-    x, y = as_bits(x), as_bits(y)
-    num = len(x)
     ex = _Execution("blind-server", x, [y])
-    if pad_bits is None:
+    num, (y,) = ex.num_values, ex.ys
+    g = ex.fixed_draw(pad_bits, "pad_bits")
+    if g is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
         g = blind_server_pad(y, rng)
-    else:
-        if pad_per_round:
-            raise GateError("a forced pad and per-round redraws are incompatible")
-        g = as_bits(pad_bits)
-        if len(g) != num:
-            raise GateError("pad length must match the data length")
-        if np.any(g & y):
-            raise GateError("pad must be zero wherever the client bit is 1")
+    elif pad_per_round:
+        raise GateError("a forced pad and per-round redraws are incompatible")
+    elif np.any(g & y):
+        raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
     g_table = padded_table(g, ex.n)
     index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
@@ -345,7 +362,7 @@ def run_blind_server(
         ex.hop(client, SERVER)
         apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, t, float(np.sum(x & y)) / num)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, t)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
     if disclose_pad_sum:
         ledger.classical_bits_sent += math.ceil(math.log2(num + 1))
@@ -370,21 +387,22 @@ def run_blind_client(
     per-round random basis choices and phase pads. Bases and pads are
     redrawn every round; the pipeline restores the exact baseline branch
     phases each round, so the readout statistics match the baseline."""
-    x, y = as_bits(x), as_bits(y)
-    num = len(x)
     ex = _Execution("blind-client", x, [y])
-    if (force_basis is None or force_pad is None) and rng is None:
+    num, x = ex.num_values, ex.x
+    fixed_r = ex.fixed_draw(force_basis, "force_basis")
+    fixed_h = ex.fixed_draw(force_pad, "force_pad")
+    if (fixed_r is None or fixed_h is None) and rng is None:
         raise GateError("need an rng to draw bases and pads")
-    bases: list[BasisAssignment] = []
+    bases: list[np.ndarray] = []
     pads: list[np.ndarray] = []
     index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
     o2, oa = ex.work
     client = client_name(1)
 
     def steps(state):
-        r_bits = as_bits(force_basis) if force_basis is not None else random_bits(num, rng)
-        h_bits = as_bits(force_pad) if force_pad is not None else random_bits(num, rng)
-        bases.append(BasisAssignment(r_bits, ex.sim.round_index))
+        r_bits = fixed_r if fixed_r is not None else random_bits(num, rng)
+        h_bits = fixed_h if fixed_h is not None else random_bits(num, rng)
+        bases.append(r_bits)
         pads.append(h_bits)
         rt, ht = padded_table(r_bits, ex.n), padded_table(h_bits, ex.n)
         x_on, x_off = padded_table(x & r_bits, ex.n), padded_table(x & (1 - r_bits), ex.n)
@@ -399,27 +417,15 @@ def run_blind_client(
         ex.hop(client, SERVER, oa)
         apply_ux4(state, index, o1, oa, x_on, rt, ht, ledger)
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, float(np.sum(x & y)) / num)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
     run.pads = {"basis": bases, "h": pads}
     return run
-
-
-def _parity(x, ys) -> np.ndarray:
-    """Per-index parity of the per-client products x AND y_k."""
-    x = as_bits(x)
-    parity = np.zeros(len(x), dtype=np.uint8)
-    for y in ys:
-        y = as_bits(y)
-        if len(y) != len(x):
-            raise GateError("client vectors must match the server length")
-        parity ^= x & y
-    return parity
 
 
 def parity_fraction(x, ys) -> float:
     """Classical oracle for the cascade: the mean over indices of the
     parity of the per-client products."""
-    return float(np.sum(_parity(x, ys))) / len(x)
+    return _Execution("multiparty", x, ys).truth
 
 
 def run_multiparty(
@@ -435,23 +441,14 @@ def run_multiparty(
     """Cascaded estimation of the parity-of-products mean across m
     clients. Each client holds its own work qubit; only the index
     register and the carrier hop along the chain."""
-    x = as_bits(x)
-    ys = [as_bits(y) for y in ys]
     if len(ys) < 2:
         raise GateError("cascade needs at least two clients")
-    num = len(x)
     ex = _Execution("multiparty", x, ys)
-    parity = _parity(x, ys)
-
-    g = None
-    if pad_first_client and pad_bits is not None:
-        g = as_bits(pad_bits)
-        if len(g) != num:
-            raise GateError("pad length must match the data length")
-    elif pad_first_client:
+    g = ex.fixed_draw(pad_bits, "pad_bits") if pad_first_client else None
+    if pad_first_client and g is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
-        g = random_bits(num, rng)
+        g = random_bits(ex.num_values, rng)
     g_table = None if g is None else padded_table(g, ex.n)
     index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
 
@@ -468,8 +465,8 @@ def run_multiparty(
         ex.hop(holder, SERVER)
         apply_data_oracle(state, index, o1, xt, ledger, "Ux")
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, 0, float(np.sum(parity)) / num)
+    run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
     if g is not None:
-        run.server_view_truth = float(np.sum(parity ^ g)) / num
+        run.server_view_truth = float(np.sum(ex.joint ^ g)) / ex.num_values
         run.pads = {"g": g}
     return run

@@ -63,6 +63,9 @@ def test_config_validation_matrix():
         dict(ok, redundancy_m=2, protocol="multiparty"),
         dict(ok, redundancy_m=2, mode=CorrelationMode.XOR),
         dict(ok, redundancy_m=2, redundancy_rule="bogus"),
+        dict(ok, protocol="blind-server", mode=CorrelationMode.XOR),  # product means only
+        dict(ok, protocol="blind-client", mode=CorrelationMode.XOR),
+        dict(ok, protocol="multiparty", mode=CorrelationMode.XOR),
     ]
     for bad in cases:
         with pytest.raises((GateError, ValueError)):
@@ -180,6 +183,21 @@ def test_run_experiment_redundant_decode_exact(tmp_path):
     assert rec.recovered_estimate == pytest.approx(1.0, abs=1e-12)
     assert rec.truth == 1.0
     assert rec.abs_error < 1e-12
+
+
+def test_run_redundant_sampled_estimate_is_reported_as_is(capsys):
+    # a sampled estimate can rescale past [0, 1]; it is reported like any
+    # other estimate instead of failing the exact-mean consistency check
+    argv = ["run", "--n", "6", "--t", "4", "--seed", "5", "--trials", "3", "--random-inputs",
+            "--redundancy-m", "3", "--redundancy-rule", "hide-among-ones"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = json.loads(captured.out)["records"]
+    assert len(records) == 3
+    assert min(r["recovered_estimate"] for r in records) < 0
+    for r in records:
+        assert r["abs_error"] == abs(r["recovered_estimate"] - r["truth"])
 
 
 def test_records_serialization_round_trip():
@@ -374,6 +392,27 @@ def test_cli_parser_errors_take_the_one_error_path(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in single_error_line(captured.err)  # no usage block
+
+
+RUN_SMALL = ["run", "--n", "4", "--t", "2"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (RUN_SMALL + ["--random-inputs", "--transcript", "--format", "csv"],
+     ("--transcript", "--format")),
+    (RUN_SMALL + ["--random-inputs", "--x-file", "a"], ("--x-file", "--random-inputs")),
+    (RUN_SMALL, ("--x-file", "--y-file", "--random-inputs")),  # neither source
+    (RUN_SMALL + ["--x-file", "a"], ("--x-file", "--y-file")),
+    (RUN_SMALL + ["--y-file", "a"], ("--x-file", "--y-file")),
+    *[(RUN_SMALL + ["--random-inputs", "--mode", "xor", "--protocol", variant], ("--mode",))
+      for variant in ("blind-server", "blind-client", "multiparty")],
+])
+def test_cli_flag_combinations_name_their_flags(argv, flags, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = single_error_line(captured.err)
+    assert all(flag in line for flag in flags), line
 
 
 SMALL_CAP = 8

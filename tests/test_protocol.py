@@ -391,6 +391,42 @@ def test_blind_client_work_qubits_clear_after_every_round():
     assert max(leaks) < 1e-12
 
 
+def test_blind_client_records_each_rounds_draws_as_bit_arrays():
+    rng = np.random.default_rng(23)
+    num, t = 8, 3
+    run = run_blind_client(random_bits(num, rng), random_bits(num, rng), t, rng=rng,
+                           return_distribution=True)
+    for key in ("basis", "h"):
+        draws = run.pads[key]
+        assert len(draws) == (1 << t) - 1
+        for bits in draws:
+            assert isinstance(bits, np.ndarray)
+            assert bits.dtype == np.uint8 and bits.shape == (num,)
+
+
+FIXED_DRAW_NUM = 8
+FIXED_DRAW_SLOTS = {
+    "blind-server pad_bits": lambda x, y, bits, **kw: run_blind_server(x, y, 2, pad_bits=bits, **kw),
+    "multiparty pad_bits": lambda x, y, bits, **kw: run_multiparty(x, [y, y], 2, pad_bits=bits, **kw),
+    "blind-client force_basis": lambda x, y, bits, **kw: run_blind_client(
+        x, y, 2, force_basis=bits, force_pad=np.zeros(FIXED_DRAW_NUM, np.uint8), **kw),
+    "blind-client force_pad": lambda x, y, bits, **kw: run_blind_client(
+        x, y, 2, force_basis=np.zeros(FIXED_DRAW_NUM, np.uint8), force_pad=bits, **kw),
+}
+
+
+@pytest.mark.parametrize("slot", list(FIXED_DRAW_SLOTS))
+@pytest.mark.parametrize("length", [1, FIXED_DRAW_NUM - 1, FIXED_DRAW_NUM + 1])
+def test_fixed_draws_of_the_wrong_length_fail_before_any_round(slot, length):
+    rng = np.random.default_rng(24)
+    x, y = random_bits(FIXED_DRAW_NUM, rng), random_bits(FIXED_DRAW_NUM, rng)
+    rounds = []
+    with pytest.raises(GateError, match=f"{slot.split()[-1]} length"):
+        FIXED_DRAW_SLOTS[slot](x, y, np.zeros(length, np.uint8), return_distribution=True,
+                               round_hook=lambda r, state: rounds.append(r))
+    assert rounds == []
+
+
 # -- multiparty ---------------------------------------------------------------------
 
 
