@@ -93,9 +93,9 @@ def _probe_round_quantum(y_table, rng) -> tuple[int, int]:
     for q in index:
         sv.h(q)
     sv.h(o1)
-    apply_data_oracle(sv, index, o2, y_table)
+    apply_data_oracle(sv, o2, y_table)
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, y_table)
+    apply_data_oracle(sv, o2, y_table)
     j = 0
     for q in index:
         j = (j << 1) | sv.measure(q, rng)
@@ -188,24 +188,24 @@ def occupancy_pmf(rounds: int, num_values: int) -> np.ndarray:
 # -- index-uniformity verification ------------------------------------------
 
 
-def uniformity_accept_probability(state: StateVector, index_reg) -> float:
+def uniformity_accept_probability(state: StateVector, index) -> float:
     """Exact probability that X-basis measurements on the index register
     all read +."""
     probe = state.copy()
-    for q in index_reg:
+    for q in index:
         probe.h(q)
-    values = probe.register_values(list(index_reg))
+    values = probe.register_values(list(index))
     return float(np.sum(np.abs(probe.amps[values == 0]) ** 2))
 
 
-def verify_index_uniformity(state: StateVector, index_reg, rng: np.random.Generator) -> bool:
+def verify_index_uniformity(state: StateVector, index, rng: np.random.Generator) -> bool:
     """Sampled X-basis check of a received index register: accept iff
     every qubit reads +. The uniform superposition always accepts;
     amplitude-biased preparations reject with the complement of the
     |<+..+|psi>|^2 overlap."""
     probe = state.copy()
     accepted = True
-    for q in index_reg:
+    for q in index:
         probe.h(q)
         if probe.measure(q, rng) != 0:
             accepted = False
@@ -279,7 +279,7 @@ def holevo_quantity(y) -> float:
     for a, b in zip(index, copy):
         sv.cnot(a, b)
     sv.h(o1)
-    sv.z(o1, index_reg=index, pred=y)
+    sv.z(o1, pred=y)
     rho = sv.reduced_density(index + [o1])
     avg_entropy = 0.0
     for yi in y:

@@ -39,6 +39,7 @@ from .experiment import (
     privacy_table_recovery,
     records_to_csv,
     records_to_json,
+    require_at_least,
     run_experiment,
     run_protocol,
 )
@@ -83,15 +84,10 @@ def _parse_grid(raw: str) -> list[tuple[int, int, int]]:
             rows.append(tuple(int(f) for f in fields))
         except ValueError as exc:
             raise GateError(f"--grid row {part!r}: {exc}") from exc
-        _require_at_least("--grid N", rows[-1][0], 1)
+        require_at_least("--grid N", rows[-1][0], 1)
     if not rows:
         raise GateError("empty --grid")
     return rows
-
-
-def _require_at_least(flag: str, value: int, least: int):
-    if value < least:
-        raise GateError(f"{flag} must be at least {least}, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    for flag, value in (("--n", args.n), ("--t", args.t), ("--trials", args.trials),
-                        ("--redundancy-m", args.redundancy_m)):
-        _require_at_least(flag, value, 1)
-    if args.protocol == "multiparty":
-        _require_at_least("--m", args.m, 2)
     if args.transcript and args.format == "csv":
         raise GateError("--transcript needs --format json; the csv table has no transcript")
     cfg = ExperimentConfig(
@@ -209,8 +200,8 @@ def _attack_y(args) -> np.ndarray:
 
 
 def cmd_attack(args) -> int:
-    _require_at_least("--n", args.n, 1)
-    _require_at_least("--trials", args.trials, 0)
+    require_at_least("--n", args.n, 1)
+    require_at_least("--trials", args.trials, 0)
     strategy = AttackStrategy(args.strategy)
     rng = derive_rng(args.seed, 1)
     if strategy is AttackStrategy.BIASED_INDEX:
@@ -224,7 +215,7 @@ def cmd_attack(args) -> int:
         trials = args.trials if args.trials > 0 else 1000
         payload = attack_biased_index(width, args.focus, args.focus_prob, rng, trials)
     else:
-        _require_at_least("--t", args.t, 1)
+        require_at_least("--t", args.t, 1)
         y = _attack_y(args)
         check_cap("baseline", index_width_for(args.n), args.t)
         if strategy is AttackStrategy.PLUS_PROBE:
@@ -238,24 +229,24 @@ def cmd_attack(args) -> int:
 
 
 def cmd_privacy(args) -> int:
-    _require_at_least("--trials", args.trials, 1)
+    require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
         grid = _parse_grid(args.grid) if args.grid is not None else RECOVERY_GRID
         table = privacy_table_recovery(grid)
     else:
         grid = _parse_grid(args.grid) if args.grid is not None else OVERLAP_GRID
         for _, _, t in grid:
-            _require_at_least("--grid t", t, 1)
+            require_at_least("--grid t", t, 1)
         table = privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
     _emit(table, args.out)
     return 0
 
 
 def cmd_regression(args) -> int:
-    _require_at_least("--n", args.n, 1)
-    _require_at_least("--seeds", args.seeds, 1)
-    _require_at_least("--t", args.t, 1)
-    _require_at_least("--planes", args.planes, 1)
+    require_at_least("--n", args.n, 1)
+    require_at_least("--seeds", args.seeds, 1)
+    require_at_least("--t", args.t, 1)
+    require_at_least("--planes", args.planes, 1)
     if args.planes > 63:  # the column draws below need 1 << planes to fit an int64
         raise GateError(f"--planes must be at most 63, got {args.planes}")
     check_cap(args.variant, index_width_for(args.n), args.t)
@@ -292,9 +283,9 @@ def cmd_regression(args) -> int:
 
 
 def cmd_ledger_check(args) -> int:
-    _require_at_least("--max-n", args.max_n, 2)
-    _require_at_least("--max-t", args.max_t, 1)
-    _require_at_least("--m", args.m, 2)
+    require_at_least("--max-n", args.max_n, 2)
+    require_at_least("--max-t", args.max_t, 1)
+    require_at_least("--m", args.m, 2)
     rng = derive_rng(args.seed, 3)
     rows = []
     ok = True
@@ -346,7 +337,7 @@ def main(argv=None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        _require_at_least("--seed", args.seed, 0)  # every subcommand has one
+        require_at_least("--seed", args.seed, 0)  # every subcommand has one
         return handlers[args.command](args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

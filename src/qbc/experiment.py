@@ -74,6 +74,11 @@ def check_cap(protocol: str, index_width: int, t: int, num_clients: int = 1) -> 
     return needed
 
 
+def require_at_least(flag: str, value: int, least: int):
+    if value < least:
+        raise GateError(f"{flag} must be at least {least}, got {value}")
+
+
 def derive_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, stream]))
 
@@ -97,19 +102,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in VARIANTS:
             raise GateError(f"unknown protocol {self.protocol!r}; choose from {VARIANTS}")
-        if self.num_values < 1:
-            raise GateError("need at least one data value")
-        if self.t < 1:
-            raise GateError("t must be at least 1")
-        if self.trials < 1:
-            raise GateError("trials must be at least 1")
+        for flag, value in (("--n", self.num_values), ("--t", self.t), ("--trials", self.trials),
+                            ("--redundancy-m", self.redundancy_m)):
+            require_at_least(flag, value, 1)
+        if self.protocol == "multiparty":
+            require_at_least("--m", self.num_clients, 2)
         files_given = self.x_path is not None or self.y_path is not None
         if files_given == self.random_inputs:
             raise GateError("give --x-file and --y-file, or --random-inputs, not both")
         if files_given and (self.x_path is None or self.y_path is None):
             raise GateError("--x-file and --y-file must both be given")
-        if self.redundancy_m < 1:
-            raise GateError("redundancy factor must be at least 1")
         if self.mode is not CorrelationMode.AND and self.protocol != "baseline":
             raise GateError(f"--mode {self.mode.value} needs --protocol baseline")
         if self.redundancy_m > 1:

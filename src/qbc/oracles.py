@@ -1,19 +1,21 @@
 """Phase-oracle building blocks over an index register and work qubits.
 
 The data oracle XORs a classical bit table into a work qubit, indexed by
-the index register: |i>|b> -> |i>|b xor table_i>. Composing two data
-oracles with a correlation gate between the work qubits imprints the
-product (or XOR) of the two parties' bits as a phase on branch i. Pads
-and per-round basis bits support the blinded protocol variants. The one
-constrained pad, `blind_server_pad`, is zero on the owner's support;
-every other pad is uniform `random_bits`.
+the index register: |i>|b> -> |i>|b xor table_i>. A table of 2**k
+entries reads the top k qubits, so it names its own register. Composing
+two data oracles with a correlation gate between the work qubits
+imprints the product (or XOR) of the two parties' bits as a phase on
+branch i. Pads and per-round basis bits support the blinded protocol
+variants. The one constrained pad, `blind_server_pad`, is zero on the
+owner's support; every other pad is uniform `random_bits`.
 
 Oracles take padded tables; the driver builds them. `padded_table`, the
 one table builder, checks a bit vector and zero-pads it to the
-2**len(index_reg) span, so indices past the data length behave as fixed
+2**index_width span, so indices past the data length behave as fixed
 0 bits. Bits are fixed for a run and pads and bases for a round, so a
 table is built once per run or round, not once per gate. An oracle
-checks only each table's length, before it touches the state.
+checks only that the tables of one call agree in length, before it
+touches the state; the state checks that a length fits its qubits.
 """
 from __future__ import annotations
 
@@ -101,16 +103,14 @@ def _count(ledger, name: str, k: int = 1):
         ledger.count_oracle(name, k)
 
 
-def _check_tables(index_reg, *tables):
-    size = 1 << len(index_reg)
-    for table in tables:
-        if len(table) != size:
-            raise GateError(f"table of length {len(table)} does not fit a {size}-value index")
+def _check_tables(*tables):
+    if len({len(table) for table in tables}) > 1:
+        raise GateError(f"tables of lengths {[len(t) for t in tables]} do not share one index")
 
 
-def apply_data_oracle(state, index_reg, target, table, ledger=None, name="Ux"):
+def apply_data_oracle(state, target, table, ledger=None, name="Ux"):
     """|i>|b> -> |i>|b xor table_i> on `target`. Self-inverse."""
-    state.x(target, index_reg=index_reg, pred=table)
+    state.x(target, pred=table)
     _count(ledger, name)
     return state
 
@@ -138,24 +138,24 @@ def blind_server_pad(y, rng: np.random.Generator) -> np.ndarray:
     return random_bits(len(y), rng) & (1 - y)
 
 
-def apply_phase_pad(state, index_reg, pad, ancilla, ledger=None, name="Ug"):
+def apply_phase_pad(state, pad, ancilla, ledger=None, name="Ug"):
     """Multiply branch i by (-1)**pad_i for a pad table, via XOR onto
     `ancilla`, a Z, and an uncompute. The ancilla returns to |0>."""
-    apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
+    apply_data_oracle(state, ancilla, pad, ledger, name)
     state.z(ancilla)
-    apply_data_oracle(state, index_reg, ancilla, pad, ledger, name)
+    apply_data_oracle(state, ancilla, pad, ledger, name)
     return state
 
 
 # -- basis-hiding pipeline (server side of the client-blinded variant) ----
 
 
-def apply_ux1(state, index_reg, o1, x, basis, ledger=None):
+def apply_ux1(state, o1, x, basis, ledger=None):
     """Encode x_i into o1, per-branch in the Z or X basis: branch i
     carries |x_i> where basis bit is 0 and H|x_i> where it is 1."""
-    _check_tables(index_reg, x, basis)
-    apply_data_oracle(state, index_reg, o1, x, ledger, "Ux")
-    state.h(o1, index_reg=index_reg, pred=basis)
+    _check_tables(x, basis)
+    apply_data_oracle(state, o1, x, ledger, "Ux")
+    state.h(o1, pred=basis)
     _count(ledger, "UX1")
     return state
 
@@ -165,7 +165,7 @@ def _require_clear(state, qubit, what: str):
         raise GateError(f"{what} must be |0> at entry")
 
 
-def apply_ux2(state, index_reg, o1, oa, x, basis, x_off_basis, ledger=None):
+def apply_ux2(state, o1, oa, x, basis, x_off_basis, ledger=None):
     """Extract the product phase out of the X-basis branches and clear
     the Z-basis ones.
 
@@ -178,29 +178,29 @@ def apply_ux2(state, index_reg, o1, oa, x, basis, x_off_basis, ledger=None):
     counterpart's second pass would imprint the product phase a second
     time on those branches and cancel it.
     """
-    _check_tables(index_reg, x, basis, x_off_basis)
+    _check_tables(x, basis, x_off_basis)
     _require_clear(state, oa, "scratch qubit oa")
-    apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
-    state.h(o1, index_reg=index_reg, pred=basis)
-    state.x(o1, index_reg=index_reg, pred=basis)
-    state.cz(o1, oa, index_reg=index_reg, pred=basis)
-    state.x(o1, index_reg=index_reg, pred=basis)
-    state.h(o1, index_reg=index_reg, pred=basis)
-    apply_data_oracle(state, index_reg, oa, x, ledger, "Ux")
-    apply_data_oracle(state, index_reg, o1, x_off_basis, ledger, "Ux")
+    apply_data_oracle(state, oa, x, ledger, "Ux")
+    state.h(o1, pred=basis)
+    state.x(o1, pred=basis)
+    state.cz(o1, oa, pred=basis)
+    state.x(o1, pred=basis)
+    state.h(o1, pred=basis)
+    apply_data_oracle(state, oa, x, ledger, "Ux")
+    apply_data_oracle(state, o1, x_off_basis, ledger, "Ux")
     _count(ledger, "UX2")
     return state
 
 
-def apply_ux3(state, index_reg, pad, ancilla, ledger=None):
+def apply_ux3(state, pad, ancilla, ledger=None):
     """Random phase pad (-1)**h_i hiding the product phase from the
     counterpart between the two correlation rounds."""
-    apply_phase_pad(state, index_reg, pad, ancilla, ledger, "Uh")
+    apply_phase_pad(state, pad, ancilla, ledger, "Uh")
     _count(ledger, "UX3")
     return state
 
 
-def apply_ux4(state, index_reg, o1, oa, x_on_basis, basis, pad, ledger=None):
+def apply_ux4(state, o1, oa, x_on_basis, basis, pad, ledger=None):
     """Remove the pad and reset o1 to |0> using the known encoding.
 
     Only X-basis branches still hold data in o1 by this point (the
@@ -208,10 +208,10 @@ def apply_ux4(state, index_reg, o1, oa, x_on_basis, basis, pad, ledger=None):
     were cleared during the phase extraction), so the final unload uses
     the x AND r table.
     """
-    _check_tables(index_reg, x_on_basis, basis, pad)
-    apply_phase_pad(state, index_reg, pad, oa, ledger, "Uh")
-    state.h(o1, index_reg=index_reg, pred=basis)
-    apply_data_oracle(state, index_reg, o1, x_on_basis, ledger, "Ux")
+    _check_tables(x_on_basis, basis, pad)
+    apply_phase_pad(state, pad, oa, ledger, "Uh")
+    state.h(o1, pred=basis)
+    apply_data_oracle(state, o1, x_on_basis, ledger, "Ux")
     _count(ledger, "UX4")
     if state.probability(o1, 1) > 1e-12:
         raise InvariantViolation(

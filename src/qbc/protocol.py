@@ -9,9 +9,12 @@ round of the baseline protocol:
     sends index register + o1 back                   (n+1 qubits),
     server uncomputes; the counting layer applies the diffusion.
 
-A variant supplies its work-qubit owners (`work_owners`) and a closure
-of party steps, which moves the index register and carrier with `hop`;
-it keeps only those steps and its own pad rules. One private driver
+Every client does the same: its data oracle, the correlation gate and
+the oracle again, on its first work qubit. So a variant supplies its
+work-qubit owners (`work_owners`) and a closure of the server's own
+gates around `trip`, the one round trip: server -> client 1 -> ... ->
+client m -> server, with client 1 applying the variant's pad table, if
+any; it keeps only those gates and its own pad rules. One private driver
 converts the inputs to bits; computes their joint bits (x XOR y in XOR
 mode, else the parity of the per-client products x AND y_k) and the
 truth from them; checks every caller-fixed pad or basis draw against
@@ -197,7 +200,7 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
 class _Execution:
     """One protocol execution: the inputs as bits, their joint bits and
     truth, the layout, ledger, ProtocolSim and data tables of a variant,
-    and the round frame that every variant shares."""
+    and the round frame and round trip that every variant shares."""
 
     def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND):
         self.x = x = as_bits(x)
@@ -218,14 +221,17 @@ class _Execution:
         self.x_table = padded_table(x, n)
         self.y_tables = [padded_table(y, n) for y in ys]
         holders = work_owners(variant, len(ys))
-        self.index = list(range(n))
         self.o1 = n
-        self.carried = self.index + [n]
+        self.carried = list(range(n + 1))
         self.work = list(range(n + 1, n + 1 + len(holders)))
-        owners = {q: SERVER for q in range(n + 1)}
+        owners = dict.fromkeys(self.carried, SERVER)
         owners.update(zip(self.work, holders))
+        self.clients: dict[str, list[int]] = {}  # each client's work qubits, in visiting order
+        for q, holder in zip(self.work, holders):
+            if holder != SERVER:
+                self.clients.setdefault(holder, []).append(q)
         self.ledger = ChannelLedger()
-        self.sim = ProtocolSim(owners, self.ledger, self.index)
+        self.sim = ProtocolSim(owners, self.ledger, range(n))
 
     def fixed_draw(self, bits, name: str):
         """A caller-fixed pad or basis draw as bits, or None to leave it to
@@ -237,19 +243,24 @@ class _Execution:
             raise GateError(f"{name} length must match the data length {self.num_values}")
         return bits
 
-    def hop(self, src: str, dst: str, *work: int):
-        """Send the index register and carrier from src to dst, which then
-        acts on them and on the work qubits named."""
-        self.sim.transfer(self.carried, src, dst)
-        self.sim.require_owner(dst, self.carried + list(work))
-
-    def correlate(self, state, k: int, target: int):
-        """Client k's step (from 1): its data oracle on its work qubit,
-        the correlation gate onto the carrier, and the oracle again."""
-        y = self.y_tables[k - 1]
-        apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
-        apply_correlation_gate(state, self.o1, target, self.mode)
-        apply_data_oracle(state, self.index, target, y, self.ledger, "Uy")
+    def trip(self, state, pad=None, back=()):
+        """Send the index register and carrier from the server through
+        clients 1..m and back. Each client runs its Uy, the correlation
+        gate and Uy on its first work qubit; client 1 then applies the pad
+        table, if given, on its last. The server then acts on the carrier
+        and on `back`."""
+        holder = SERVER
+        for (client, work), y in zip(self.clients.items(), self.y_tables):
+            self.sim.transfer(self.carried, holder, client)
+            self.sim.require_owner(client, self.carried + work)
+            apply_data_oracle(state, work[0], y, self.ledger, "Uy")
+            apply_correlation_gate(state, self.o1, work[0], self.mode)
+            apply_data_oracle(state, work[0], y, self.ledger, "Uy")
+            if pad is not None and holder == SERVER:  # client 1
+                apply_phase_pad(state, pad, work[-1], self.ledger, "Ug")
+            holder = client
+        self.sim.transfer(self.carried, holder, SERVER)
+        self.sim.require_owner(SERVER, self.carried + list(back))
 
     def run(self, steps, t, rng, return_distribution, round_hook, result_bits):
         """Count over the rounds `steps` makes, then return the exact
@@ -302,16 +313,12 @@ def run_qbc_baseline(
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
     ex = _Execution("baseline", x, [y], mode=mode)
-    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
-    (o2,) = ex.work
-    client = client_name(1)
+    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
 
     def steps(state):
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
-        ex.hop(SERVER, client, o2)
-        ex.correlate(state, 1, o2)
-        ex.hop(client, SERVER)
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
+        ex.trip(state)
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
 
     return ex.run(steps, t, rng, return_distribution, round_hook, t)
 
@@ -346,21 +353,16 @@ def run_blind_server(
         raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
     g_table = padded_table(g, ex.n)
-    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
-    o2, o3 = ex.work
-    client = client_name(1)
+    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
 
     def steps(state):
         nonlocal g_table
         if pad_per_round and ex.sim.round_index > 1:
             pads_used.append(blind_server_pad(y, rng))
             g_table = padded_table(pads_used[-1], ex.n)
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
-        ex.hop(SERVER, client, o2, o3)
-        ex.correlate(state, 1, o2)
-        apply_phase_pad(state, index, g_table, o3, ledger, "Ug")
-        ex.hop(client, SERVER)
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
+        ex.trip(state, pad=g_table)
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, t)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
@@ -395,9 +397,7 @@ def run_blind_client(
         raise GateError("need an rng to draw bases and pads")
     bases: list[np.ndarray] = []
     pads: list[np.ndarray] = []
-    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
-    o2, oa = ex.work
-    client = client_name(1)
+    o1, oa, ledger, xt = ex.o1, ex.work[-1], ex.ledger, ex.x_table
 
     def steps(state):
         r_bits = fixed_r if fixed_r is not None else random_bits(num, rng)
@@ -406,16 +406,12 @@ def run_blind_client(
         pads.append(h_bits)
         rt, ht = padded_table(r_bits, ex.n), padded_table(h_bits, ex.n)
         x_on, x_off = padded_table(x & r_bits, ex.n), padded_table(x & (1 - r_bits), ex.n)
-        apply_ux1(state, index, o1, xt, rt, ledger)
-        ex.hop(SERVER, client, o2)
-        ex.correlate(state, 1, o2)
-        ex.hop(client, SERVER, oa)
-        apply_ux2(state, index, o1, oa, xt, rt, x_off, ledger)
-        apply_ux3(state, index, ht, oa, ledger)
-        ex.hop(SERVER, client, o2)
-        ex.correlate(state, 1, o2)
-        ex.hop(client, SERVER, oa)
-        apply_ux4(state, index, o1, oa, x_on, rt, ht, ledger)
+        apply_ux1(state, o1, xt, rt, ledger)
+        ex.trip(state, back=[oa])
+        apply_ux2(state, o1, oa, xt, rt, x_off, ledger)
+        apply_ux3(state, ht, oa, ledger)
+        ex.trip(state, back=[oa])
+        apply_ux4(state, o1, oa, x_on, rt, ht, ledger)
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
     run.pads = {"basis": bases, "h": pads}
@@ -443,27 +439,21 @@ def run_multiparty(
     register and the carrier hop along the chain."""
     if len(ys) < 2:
         raise GateError("cascade needs at least two clients")
+    if pad_bits is not None and not pad_first_client:
+        raise GateError("pad_bits needs pad_first_client=True")
     ex = _Execution("multiparty", x, ys)
-    g = ex.fixed_draw(pad_bits, "pad_bits") if pad_first_client else None
+    g = ex.fixed_draw(pad_bits, "pad_bits")
     if pad_first_client and g is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
         g = random_bits(ex.num_values, rng)
     g_table = None if g is None else padded_table(g, ex.n)
-    index, o1, ledger, xt = ex.index, ex.o1, ex.ledger, ex.x_table
+    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
 
     def steps(state):
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
-        holder = SERVER
-        for k, work in enumerate(ex.work, start=1):
-            party = client_name(k)
-            ex.hop(holder, party, work)
-            holder = party
-            ex.correlate(state, k, work)
-            if k == 1 and g_table is not None:
-                apply_phase_pad(state, index, g_table, work, ledger, "Ug")
-        ex.hop(holder, SERVER)
-        apply_data_oracle(state, index, o1, xt, ledger, "Ux")
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
+        ex.trip(state, pad=g_table)
+        apply_data_oracle(state, o1, xt, ledger, "Ux")
 
     run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
     if g is not None:

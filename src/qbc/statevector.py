@@ -7,12 +7,13 @@ long circuits cheap; callers that need the old state copy() first.
 
 Every gate accepts an optional tuple of control qubits (the gate acts
 only on components where all controls are 1) and, where it makes sense,
-a classical predicate table over an index register, which must be the
-top qubits [0, k) (the gate acts only on components whose register
-value i has table[i] == 1). One helper, `_select`, turns both into a
-view of the amplitudes and a key into it, so no gate builds an array
-over all basis states. `bit_values` and `register_values` are read-outs
-kept for the tests and the adversary's uniformity check.
+a classical predicate table. A table of 2**k entries is its own index
+register: it reads the top k qubits, and the gate acts only on
+components whose register value i has table[i] == 1. One helper,
+`_select`, turns both into a view of the amplitudes and a key into it,
+so no gate builds an array over all basis states. `bit_values` and
+`register_values` are read-outs kept for the tests and the adversary's
+uniformity check.
 
 The non-diagonal gates (h, x, cnot, swap) share one kernel, `apply_1q`,
 on the target's halves a0, a1: X swaps them without arithmetic, and H
@@ -119,21 +120,19 @@ class StateVector:
             vals |= self.bit_values(q) << (width - 1 - pos)
         return vals
 
-    def _select(self, controls=(), index_reg=None, pred=None):
+    def _select(self, controls=(), pred=None):
         """A (2**k, 2, ..., 2) view of the amplitudes and a key list, one
         entry per axis, that selects the components passing the controls
-        and the predicate. Axis 0 is the index register [0, k) (k = 0
-        without a predicate); qubit q >= k is axis q - k + 1."""
+        and the predicate. Axis 0 is the index register [0, k) that a
+        2**k-entry table reads (k = 0 without one); qubit q >= k is axis
+        q - k + 1."""
         k, rows = 0, slice(None)
         if pred is not None:
-            if index_reg is None:
-                raise GateError("predicate table requires an index register")
-            k = len(index_reg)
-            if tuple(index_reg) != tuple(range(k)):
-                raise GateError("a predicate's index register must be the qubits [0, k)")
             table = np.asarray(pred)
-            if table.shape != (1 << k,):
-                raise GateError(f"predicate table shape {table.shape} does not fit width {k}")
+            k = table.size.bit_length() - 1
+            if not 0 <= k <= self.num_qubits or table.shape != (1 << k,):
+                raise GateError(f"predicate table of shape {table.shape} is not 2**k "
+                                f"entries for a k of at most {self.num_qubits} qubits")
             rows = table.nonzero()[0]
         view = self.amps.reshape((1 << k,) + (2,) * (self.num_qubits - k))
         key = [rows] + [slice(None)] * (self.num_qubits - k)
@@ -146,10 +145,10 @@ class StateVector:
 
     # -- single-qubit and diagonal gates ---------------------------------
 
-    def apply_1q(self, u: np.ndarray, target: int, controls=(), index_reg=None, pred=None):
+    def apply_1q(self, u: np.ndarray, target: int, controls=(), pred=None):
         """Apply H_MAT or X_MAT to `target`, restricted by controls/predicate."""
         self._check_qubit(target)
-        view, key = self._select(controls, index_reg, pred)
+        view, key = self._select(controls, pred)
         axis = target + view.ndim - self.num_qubits
         if axis < 1 or target in controls:
             raise GateError("target overlaps controls or index register")
@@ -169,27 +168,27 @@ class StateVector:
             view[rows] = block
         return self
 
-    def h(self, target, controls=(), index_reg=None, pred=None):
-        return self.apply_1q(H_MAT, target, controls, index_reg, pred)
+    def h(self, target, controls=(), pred=None):
+        return self.apply_1q(H_MAT, target, controls, pred)
 
-    def x(self, target, controls=(), index_reg=None, pred=None):
-        return self.apply_1q(X_MAT, target, controls, index_reg, pred)
+    def x(self, target, controls=(), pred=None):
+        return self.apply_1q(X_MAT, target, controls, pred)
 
-    def z(self, target, controls=(), index_reg=None, pred=None):
-        view, key = self._select(tuple(controls) + (target,), index_reg, pred)
+    def z(self, target, controls=(), pred=None):
+        view, key = self._select(tuple(controls) + (target,), pred)
         view[tuple(key)] *= -1.0
         return self
 
-    def phase(self, angle: float, target: int, controls=(), index_reg=None, pred=None):
+    def phase(self, angle: float, target: int, controls=(), pred=None):
         """Multiply the |1> component of `target` by exp(i*angle)."""
-        view, key = self._select(tuple(controls) + (target,), index_reg, pred)
+        view, key = self._select(tuple(controls) + (target,), pred)
         view[tuple(key)] *= np.exp(1j * angle)
         return self
 
-    def cz(self, a: int, b: int, controls=(), index_reg=None, pred=None):
+    def cz(self, a: int, b: int, controls=(), pred=None):
         if a == b:
             raise GateError("cz needs two distinct qubits")
-        view, key = self._select(tuple(controls) + (a, b), index_reg, pred)
+        view, key = self._select(tuple(controls) + (a, b), pred)
         view[tuple(key)] *= -1.0
         return self
 

@@ -214,16 +214,16 @@ def one_blind_client_round(x, y, r_bits, h_bits) -> StateVector:
     for q in index:
         sv.h(q)
     xt, yt, rt, ht = (padded_table(bits, n) for bits in (x, y, r_bits, h_bits))
-    apply_ux1(sv, index, o1, xt, rt)
-    apply_data_oracle(sv, index, o2, yt, name="Uy")
+    apply_ux1(sv, o1, xt, rt)
+    apply_data_oracle(sv, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, yt, name="Uy")
-    apply_ux2(sv, index, o1, oa, xt, rt, xt & (1 - rt))
-    apply_ux3(sv, index, ht, oa)
-    apply_data_oracle(sv, index, o2, yt, name="Uy")
+    apply_data_oracle(sv, o2, yt, name="Uy")
+    apply_ux2(sv, o1, oa, xt, rt, xt & (1 - rt))
+    apply_ux3(sv, ht, oa)
+    apply_data_oracle(sv, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, yt, name="Uy")
-    apply_ux4(sv, index, o1, oa, xt & rt, rt, ht)
+    apply_data_oracle(sv, o2, yt, name="Uy")
+    apply_ux4(sv, o1, oa, xt & rt, rt, ht)
     return sv
 
 

@@ -58,8 +58,7 @@ def random_condition(nq: int, rng):
     free = [int(q) for q in rng.permutation(np.arange(k, nq))]
     target, rest = free[0], free[1:]
     controls = tuple(rest[: int(rng.integers(0, len(rest) + 1))])
-    index_reg = list(range(k)) if table is not None else None
-    return k, table, index_reg, target, controls
+    return k, table, target, controls
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -68,25 +67,25 @@ def test_gates_match_mask_reference(seed):
     nq = int(rng.integers(3, 7))
     sv = random_state(nq, rng)
     for _ in range(12):
-        k, table, index_reg, target, controls = random_condition(nq, rng)
+        k, table, target, controls = random_condition(nq, rng)
         kind = rng.choice(["h", "x", "z", "phase", "cz", "cnot", "reflect0"])
         if kind in ("h", "x"):
             u = H_MAT if kind == "h" else X_MAT
             want = ref_1q(sv, u, target, controls, k, table)
-            getattr(sv, kind)(target, controls, index_reg, table)
+            getattr(sv, kind)(target, controls, table)
         elif kind == "z":
             want = ref_scale(sv, -1.0, controls + (target,), k, table)
-            sv.z(target, controls, index_reg, table)
+            sv.z(target, controls, table)
         elif kind == "phase":
             angle = float(rng.uniform(0, 2 * np.pi))
             want = ref_scale(sv, np.exp(1j * angle), controls + (target,), k, table)
-            sv.phase(angle, target, controls, index_reg, table)
+            sv.phase(angle, target, controls, table)
         elif kind == "cz":
             if not controls:
                 continue
             other, rest = controls[0], controls[1:]
             want = ref_scale(sv, -1.0, rest + (target, other), k, table)
-            sv.cz(target, other, rest, index_reg, table)
+            sv.cz(target, other, rest, table)
         elif kind == "cnot":
             if not controls:
                 continue
@@ -117,10 +116,9 @@ def test_x_swap_and_h_kernel_match_mask_reference_bitwise(seed, predicated):
         free = [int(q) for q in rng.permutation(np.arange(k, nq))]
         target, rest = free[0], free[1:]
         controls = tuple(rest[: int(rng.integers(0, len(rest) + 1))])
-        index_reg = list(range(k)) if predicated else None
         for kind, u in (("x", X_MAT), ("h", H_MAT)):
             want = ref_1q(sv, u, target, controls, k, table)
-            getattr(sv, kind)(target, controls, index_reg, table)
+            getattr(sv, kind)(target, controls, table)
             assert np.array_equal(sv.amps, want), kind
 
 
@@ -151,18 +149,17 @@ def test_readouts_match_mask_reference(seed):
 
 
 @pytest.mark.parametrize("call", [
-    lambda sv: sv.x(3, index_reg=[1, 2], pred=[0, 1, 0, 1]),
-    lambda sv: sv.x(3, index_reg=[1, 0], pred=[0, 1, 0, 1]),
-    lambda sv: sv.cz(2, 3, index_reg=[0, 2], pred=[1, 1, 0, 1]),
-    lambda sv: sv.h(3, controls=(1,), index_reg=[0, 1], pred=[0, 1, 1, 1]),
-    lambda sv: sv.z(0, index_reg=[0, 1], pred=[0, 1, 1, 1]),
-    lambda sv: sv.phase(0.3, 2, controls=(0,), index_reg=[0], pred=[1, 1]),
+    lambda sv: sv.x(3, pred=[0, 1, 0]),
+    lambda sv: sv.x(3, pred=[1] * 32),
+    lambda sv: sv.h(3, controls=(1,), pred=[0, 1, 1, 1]),
+    lambda sv: sv.z(0, pred=[0, 1, 1, 1]),
+    lambda sv: sv.phase(0.3, 2, controls=(0,), pred=[1, 1]),
     lambda sv: work_leakage(sv, [1, 3]),
     lambda sv: work_leakage(sv, [3, 4]),
     lambda sv: sv.apply_1q(np.eye(2, dtype=complex), 3),
     lambda sv: sv.x(3, controls=(3,)),
-    lambda sv: sv.h(1, index_reg=[0, 1], pred=[0, 1, 1, 1]),
-], ids=["reg-offset", "reg-reordered", "reg-gap", "control-in-reg",
+    lambda sv: sv.h(1, pred=[0, 1, 1, 1]),
+], ids=["table-not-power-of-two", "table-wider-than-state", "control-in-reg",
         "target-in-reg", "phase-control-in-reg", "leak-gap", "leak-past-end",
         "not-h-or-x", "target-is-control", "h-target-in-reg"])
 def test_malformed_conditions_rejected_without_touching_the_state(call):

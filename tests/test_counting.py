@@ -27,7 +27,7 @@ def counting_cfg_for_table(n: int, t: int, table) -> CountingConfig:
     table = padded_table(table, n)
 
     def oracle(state):
-        apply_phase_pad(state, list(range(n)), table, n)
+        apply_phase_pad(state, table, n)
 
     return CountingConfig(n, t, oracle, work_qubits=1)
 
@@ -46,7 +46,7 @@ def dense_counting_state(n: int, t: int, tables) -> StateVector:
     rounds = iter(tables)
     for pos, ctrl in enumerate(readout):
         for _ in range(1 << (t - 1 - pos)):
-            sv.z(ctrl, index_reg=index, pred=padded_table(next(rounds), n))
+            sv.z(ctrl, pred=padded_table(next(rounds), n))
             hs = [GateSpec("h", (q,), (ctrl,)) for q in index]
             for gate in hs + [GateSpec("reflect0", index, (ctrl,))] + hs:
                 apply_gate(sv, gate)
@@ -180,7 +180,7 @@ def test_varying_oracle_matches_dense_reference(n, t):
     calls = iter(tables)
 
     def oracle(state):
-        apply_phase_pad(state, list(range(n)), next(calls), n)
+        apply_phase_pad(state, next(calls), n)
 
     dist = counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
     assert next(calls, None) is None
@@ -226,7 +226,7 @@ def test_iterates_per_readout_bit_largest_power_first():
 
     def oracle(state):
         widths.append(state.num_qubits)
-        apply_phase_pad(state, list(range(n)), next(calls), n)
+        apply_phase_pad(state, next(calls), n)
 
     dist = counting_distribution(CountingConfig(n, t, oracle, work_qubits=1))
     assert widths == [n + 1] * len(tables)
@@ -250,6 +250,26 @@ def test_round_rejects_non_diagonal_gate_on_index(gate):
         counting_distribution(CountingConfig(2, 2, gate, work_qubits=1))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_round_rejects_a_table_of_half_the_index(n):
+    # on a plain state a 2**(n-1)-entry table reads the top n-1 qubits;
+    # in a round every table must span the whole n-qubit index register
+    half = np.ones(1 << (n - 1), dtype=np.uint8)
+    apply_phase_pad(StateVector(n + 1), half, n)
+    seen = []
+
+    def oracle(probe):
+        seen.append(probe.amps.copy())
+        try:
+            apply_phase_pad(probe, half, n)
+        finally:
+            seen.append(probe.amps.copy())
+
+    with pytest.raises(GateError, match="does not fit"):
+        counting_distribution(CountingConfig(n, 2, oracle, work_qubits=1))
+    assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+
+
 def test_round_allows_diagonal_index_gates_and_index_controls():
     # z(0), cz(0, 1) and the reflection about |00> multiply index value i
     # by (-1)**[0, 1, 0, 1][i]; the index-controlled work gates undo
@@ -259,11 +279,11 @@ def test_round_allows_diagonal_index_gates_and_index_controls():
     def oracle(state):
         state.x(2, controls=(0,))
         state.cnot(1, 2)
-        state.h(2, index_reg=[0, 1], pred=[0, 1, 1, 0])
+        state.h(2, pred=[0, 1, 1, 0])
         state.z(0)
         state.cz(0, 1)
         state.reflect_about_zero([0, 1])
-        state.h(2, index_reg=[0, 1], pred=[0, 1, 1, 0])
+        state.h(2, pred=[0, 1, 1, 0])
         state.cnot(1, 2)
         state.x(2, controls=(0,))
 

@@ -66,6 +66,7 @@ def test_config_validation_matrix():
         dict(ok, protocol="blind-server", mode=CorrelationMode.XOR),  # product means only
         dict(ok, protocol="blind-client", mode=CorrelationMode.XOR),
         dict(ok, protocol="multiparty", mode=CorrelationMode.XOR),
+        dict(ok, protocol="multiparty", num_clients=1),
     ]
     for bad in cases:
         with pytest.raises((GateError, ValueError)):

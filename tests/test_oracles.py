@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbc.counting import CountingConfig, counting_distribution
 from qbc.ledger import ChannelLedger
 from qbc.oracles import (
     CorrelationMode,
@@ -46,16 +47,16 @@ def apply_blind_client_round(sv, index, o1, o2, oa, x, y, r_bits, h_bits, ledger
     """One full uncontrolled channel round of the client-blinded variant,
     on the tables the protocol driver builds from the bits."""
     xt, yt, rt, ht = (padded_table(bits, len(index)) for bits in (x, y, r_bits, h_bits))
-    apply_ux1(sv, index, o1, xt, rt, ledger=ledger)
-    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
+    apply_ux1(sv, o1, xt, rt, ledger=ledger)
+    apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
-    apply_ux2(sv, index, o1, oa, xt, rt, xt & (1 - rt), ledger=ledger)
-    apply_ux3(sv, index, ht, oa, ledger=ledger)
-    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
+    apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
+    apply_ux2(sv, o1, oa, xt, rt, xt & (1 - rt), ledger=ledger)
+    apply_ux3(sv, ht, oa, ledger=ledger)
+    apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, index, o2, yt, ledger=ledger, name="Uy")
-    apply_ux4(sv, index, o1, oa, xt & rt, rt, ht, ledger=ledger)
+    apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
+    apply_ux4(sv, o1, oa, xt & rt, rt, ht, ledger=ledger)
     return sv
 
 
@@ -118,7 +119,7 @@ def test_load_bitstrings_reports_line_numbers(tmp_path):
 def test_data_oracle_xors_bit_per_index():
     data = [1, 0, 1, 1]
     sv = uniform_index_state(2, 1)
-    apply_data_oracle(sv, [0, 1], 2, data)
+    apply_data_oracle(sv, 2, data)
     vals = sv.register_values([0, 1])
     target = sv.bit_values(2)
     nz = np.abs(sv.amps) > 1e-12
@@ -129,15 +130,15 @@ def test_data_oracle_is_self_inverse():
     sv = uniform_index_state(3, 1)
     ref = sv.amps.copy()
     data = random_bits(8, RNG)
-    apply_data_oracle(sv, [0, 1, 2], 3, data)
-    apply_data_oracle(sv, [0, 1, 2], 3, data)
+    apply_data_oracle(sv, 3, data)
+    apply_data_oracle(sv, 3, data)
     assert np.allclose(sv.amps, ref, atol=1e-10)
 
 
 def test_data_oracle_zero_pads_short_vectors():
     # 3 data bits on a 2-qubit index: index 3 behaves as a fixed 0
     sv = uniform_index_state(2, 1)
-    apply_data_oracle(sv, [0, 1], 2, padded_table([1, 1, 1], 2))
+    apply_data_oracle(sv, 2, padded_table([1, 1, 1], 2))
     vals = sv.register_values([0, 1])
     target = sv.bit_values(2)
     nz = np.abs(sv.amps) > 1e-12
@@ -148,8 +149,8 @@ def test_data_oracle_zero_pads_short_vectors():
 def test_data_oracle_counts_named_calls():
     led = ChannelLedger()
     sv = uniform_index_state(1, 1)
-    apply_data_oracle(sv, [0], 1, [1, 0], ledger=led, name="Uy")
-    apply_data_oracle(sv, [0], 1, [1, 0], ledger=led, name="Uy")
+    apply_data_oracle(sv, 1, [1, 0], ledger=led, name="Uy")
+    apply_data_oracle(sv, 1, [1, 0], ledger=led, name="Uy")
     assert led.oracle_calls == {"Uy": 2}
 
 
@@ -187,23 +188,30 @@ def test_correlation_gate_rejects_same_qubit():
 
 @pytest.mark.parametrize("bad_len", [3, 5, 8])
 @pytest.mark.parametrize("call,slots", [
-    (lambda sv, t: apply_data_oracle(sv, [0, 1], 2, t[0]), 1),
-    (lambda sv, t: apply_phase_pad(sv, [0, 1], t[0], 2), 1),
-    (lambda sv, t: apply_ux1(sv, [0, 1], 2, t[0], t[1]), 2),
-    (lambda sv, t: apply_ux2(sv, [0, 1], 2, 3, t[0], t[1], t[2]), 3),
-    (lambda sv, t: apply_ux3(sv, [0, 1], t[0], 3), 1),
-    (lambda sv, t: apply_ux4(sv, [0, 1], 2, 3, t[0], t[1], t[2]), 3),
+    (lambda sv, t: apply_data_oracle(sv, 2, t[0]), 1),
+    (lambda sv, t: apply_phase_pad(sv, t[0], 2), 1),
+    (lambda sv, t: apply_ux1(sv, 2, t[0], t[1]), 2),
+    (lambda sv, t: apply_ux2(sv, 2, 3, t[0], t[1], t[2]), 3),
+    (lambda sv, t: apply_ux3(sv, t[0], 3), 1),
+    (lambda sv, t: apply_ux4(sv, 2, 3, t[0], t[1], t[2]), 3),
 ], ids=["data", "pad", "ux1", "ux2", "ux3", "ux4"])
 def test_oracles_reject_wrong_table_length_without_touching_the_state(call, slots, bad_len):
-    # every table slot in turn gets a length other than 2**len(index_reg)
-    for slot in range(slots):
-        tables = [np.ones(4, dtype=np.uint8) for _ in range(slots)]
-        tables[slot] = np.ones(bad_len, dtype=np.uint8)
-        sv = uniform_index_state(2, 2)
-        before = sv.amps.copy()
+    # on the probe of a round (2 index qubits, work qubits 2 and 3), each
+    # table slot in turn, then all of them, get a length other than 2**2
+    for bad in [[slot] for slot in range(slots)] + [list(range(slots))]:
+        tables = [np.ones(bad_len if s in bad else 4, dtype=np.uint8) for s in range(slots)]
+        seen = []
+
+        def oracle(probe):
+            seen.append(probe.amps.copy())
+            try:
+                call(probe, tables)
+            finally:
+                seen.append(probe.amps.copy())
+
         with pytest.raises(GateError):
-            call(sv, tables)
-        assert np.array_equal(sv.amps, before), slot
+            counting_distribution(CountingConfig(2, 1, oracle, work_qubits=2))
+        assert len(seen) == 2 and np.array_equal(seen[0], seen[1]), bad
 
 
 # -- pads -----------------------------------------------------------------------
@@ -225,7 +233,7 @@ def test_phase_pad_imprints_sign_and_clears_ancilla():
     pad = [0, 1, 1, 0]
     sv = uniform_index_state(2, 1)
     ref = sv.amps.copy()
-    apply_phase_pad(sv, [0, 1], pad, 2)
+    apply_phase_pad(sv, pad, 2)
     assert sv.probability(2, 1) < 1e-14
     vals = sv.register_values([0, 1])
     signs = np.where(np.array(pad + [0] * 4)[vals % 4] == 1, -1.0, 1.0)[: len(ref)]
@@ -235,7 +243,7 @@ def test_phase_pad_imprints_sign_and_clears_ancilla():
 def test_phase_pad_counts_two_oracle_calls():
     led = ChannelLedger()
     sv = uniform_index_state(1, 1)
-    apply_phase_pad(sv, [0], [1, 0], 1, ledger=led, name="Ug")
+    apply_phase_pad(sv, [1, 0], 1, ledger=led, name="Ug")
     assert led.oracle_calls == {"Ug": 2}
 
 
@@ -251,12 +259,12 @@ def test_blind_server_composite_phase_is_product_plus_pad():
         o1, o2, o3 = n, n + 1, n + 2
         sv = uniform_index_state(n, 3)
         ref = sv.amps.copy()
-        apply_data_oracle(sv, index, o1, x)
-        apply_data_oracle(sv, index, o2, y)
+        apply_data_oracle(sv, o1, x)
+        apply_data_oracle(sv, o2, y)
         apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-        apply_data_oracle(sv, index, o2, y)
-        apply_phase_pad(sv, index, g, o3)
-        apply_data_oracle(sv, index, o1, x)
+        apply_data_oracle(sv, o2, y)
+        apply_phase_pad(sv, g, o3)
+        apply_data_oracle(sv, o1, x)
         table = np.zeros(1 << n, dtype=np.int64)
         table[:num] = (x & y) ^ g
         signs = np.where(table[sv.register_values(index)] == 1, -1.0, 1.0)
@@ -269,7 +277,7 @@ def test_blind_server_composite_phase_is_product_plus_pad():
 def test_ux1_encodes_z_or_hadamard_basis():
     # one index qubit, two branches: R=[0,1], x=[1,1]
     sv = uniform_index_state(1, 1)
-    apply_ux1(sv, [0], 1, [1, 1], [0, 1])
+    apply_ux1(sv, 1, [1, 1], [0, 1])
     s = 1 / np.sqrt(2)
     # branch 0: |1> on o1; branch 1: H|1> = (|0> - |1>)/sqrt(2)
     expect = np.array([0.0, s, s * s, -s * s])
@@ -284,10 +292,10 @@ def test_ux1_reversed_gate_list_is_inverse():
     r = random_bits(num, rng)
     sv = uniform_index_state(n, 1)
     ref = sv.amps.copy()
-    apply_ux1(sv, list(range(n)), n, x, r)
+    apply_ux1(sv, n, x, r)
     # reversed list: the indexed H, then the data oracle
-    sv.h(n, index_reg=list(range(n)), pred=r)
-    apply_data_oracle(sv, list(range(n)), n, x)
+    sv.h(n, pred=r)
+    apply_data_oracle(sv, n, x)
     assert np.allclose(sv.amps, ref, atol=1e-10)
 
 
@@ -295,19 +303,19 @@ def test_ux2_requires_clear_scratch():
     sv = uniform_index_state(1, 2)
     sv.x(2)  # dirty oa
     with pytest.raises(GateError, match="scratch"):
-        apply_ux2(sv, [0], 1, 2, [1, 1], [0, 0], [1, 1])
+        apply_ux2(sv, 1, 2, [1, 1], [0, 0], [1, 1])
 
 
 def test_ux4_detects_mismatched_unload():
     # claiming the wrong x at unload time must trip the reset check
     sv = uniform_index_state(1, 2)
-    apply_ux1(sv, [0], 1, [1, 1], [0, 0])
+    apply_ux1(sv, 1, [1, 1], [0, 0])
     from qbc.statevector import InvariantViolation
 
     with pytest.raises(InvariantViolation):
         # x=[1,1] was loaded in the Z basis; ux2 was skipped so o1 is
         # still hot, and the masked unload of x=[0,0] cannot clear it
-        apply_ux4(sv, [0], 1, 2, [0, 0], [0, 0], [0, 0])
+        apply_ux4(sv, 1, 2, [0, 0], [0, 0], [0, 0])
 
 
 def test_pipeline_branch_table_exhaustive_n2():
@@ -389,7 +397,7 @@ def test_per_copy_carrier_matches_analytic_mixture():
         mats = []
         for r_bit in (0, 1):
             sv = StateVector(2)  # 1 index qubit, branch 0 only
-            apply_ux1(sv, [0], 1, [x_bit, x_bit], [r_bit, r_bit])
+            apply_ux1(sv, 1, [x_bit, x_bit], [r_bit, r_bit])
             mats.append(sv.reduced_density([1]).mat)
         sims.append(0.5 * mats[0] + 0.5 * mats[1])
     from qbc.statevector import DensityMatrix

@@ -260,16 +260,33 @@ def test_transcript_field_order_and_counts():
     assert total_sent == run.ledger.quantum_qubits_sent
 
 
-def test_multiparty_transcript_chains_through_clients():
+@pytest.mark.parametrize("run_one,clients,trips", [
+    (lambda x, ys, t, rng: run_qbc_baseline(x, ys[0], t, rng=rng), 1, 1),
+    (lambda x, ys, t, rng: run_blind_server(x, ys[0], t, rng=rng), 1, 1),
+    (lambda x, ys, t, rng: run_blind_client(x, ys[0], t, rng=rng), 1, 2),
+    (lambda x, ys, t, rng: run_multiparty(x, ys[:2], t, rng=rng), 2, 1),
+    (lambda x, ys, t, rng: run_multiparty(x, ys, t, rng=rng), 3, 1),
+], ids=["baseline", "blind-server", "blind-client", "multiparty-m2", "multiparty-m3"])
+def test_multiparty_transcript_chains_through_clients(run_one, clients, trips):
+    # every round trip carries the index register and o1 from the server
+    # through clients 1..m and back; blind-client makes two per round, and
+    # its scratch qubit oa stays with the server, so every hop is n+1 qubits
     rng = np.random.default_rng(9)
-    run = run_multiparty(random_bits(4, rng), [random_bits(4, rng) for _ in range(3)], 1, rng=rng)
-    hops = [line.split(",")[1:3] for line in transcript_lines(run)[1:]]
-    assert hops == [
-        ["server", "client1"],
-        ["client1", "client2"],
-        ["client2", "client3"],
-        ["client3", "server"],
+    t, rounds = 2, 3
+    run = run_one(random_bits(4, rng), [random_bits(4, rng) for _ in range(3)], t, rng)
+    chain = [SERVER] + [client_name(k) for k in range(1, clients + 1)] + [SERVER]
+    route = list(zip(chain, chain[1:])) * trips
+    rows = [line.split(",") for line in transcript_lines(run)[1:]]
+    assert [(int(r[0]), r[1], r[2]) for r in rows] == [
+        (k, src, dst) for k in range(1, rounds + 1) for src, dst in route
     ]
+    assert {int(r[3]) for r in rows} == {run.index_width + 1}
+    calls = {}
+    for r in rows:
+        calls.setdefault(int(r[0]), set()).add(int(r[4]))
+    assert all(len(c) == 1 for c in calls.values())  # one round total on every row
+    per_round, rest = divmod(run.ledger.oracle_total(), rounds)  # every round makes the same calls
+    assert rest == 0 and [c.pop() for c in calls.values()] == [per_round] * rounds
 
 
 # -- blind-server ------------------------------------------------------------------
@@ -479,6 +496,15 @@ def test_multiparty_unpadded_run_reports_single_truth():
                          rng=rng, pad_first_client=False)
     assert run.server_view_truth == run.truth
     assert run.pads == {}
+
+
+def test_multiparty_rejects_pad_bits_without_a_padding_client():
+    rounds = []
+    with pytest.raises(GateError, match="pad_bits.*pad_first_client"):
+        run_multiparty([1, 0, 1, 1], [[1, 1, 0, 1], [0, 1, 1, 1]], 2, pad_first_client=False,
+                       pad_bits=[1, 0, 0, 1], return_distribution=True,
+                       round_hook=lambda r, state: rounds.append(r))
+    assert rounds == []
 
 
 # -- property checks -----------------------------------------------------------------

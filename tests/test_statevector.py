@@ -149,7 +149,7 @@ def test_predicate_table_gates_by_index_value():
     sv = StateVector(3)
     sv.h(0)
     sv.h(1)
-    sv.x(2, index_reg=[0, 1], pred=np.array([0, 1, 0, 1]))
+    sv.x(2, pred=np.array([0, 1, 0, 1]))
     vals = sv.register_values([0, 1])
     work = sv.bit_values(2)
     nz = np.abs(sv.amps) > 1e-12
@@ -159,9 +159,7 @@ def test_predicate_table_gates_by_index_value():
 def test_predicate_table_length_checked():
     sv = StateVector(3)
     with pytest.raises(GateError):
-        sv.x(2, index_reg=[0, 1], pred=np.array([0, 1, 0]))
-    with pytest.raises(GateError):
-        sv.x(2, pred=np.array([0, 1]))  # no index register given
+        sv.x(2, pred=np.array([0, 1, 0]))
 
 
 def test_operand_overlap_rejected():
