@@ -121,11 +121,11 @@ class _Probe(StateVector):
         super().__init__(cfg.block_qubits)
         self.index_width = cfg.index_width
 
-    def _select(self, controls=(), pred=None):
+    def _rows(self, pred):
         if pred is not None and len(pred) != 1 << self.index_width:
             raise GateError(f"table of length {len(pred)} does not fit "
                             f"a {1 << self.index_width}-value index")
-        return StateVector._select(self, controls, pred)
+        return super()._rows(pred)
 
     def apply_1q(self, u, target, controls=(), pred=None):
         if 0 <= target < self.index_width:

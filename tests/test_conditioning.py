@@ -4,7 +4,7 @@ against a reference that selects components through full-length
 import numpy as np
 import pytest
 
-from qbc.counting import work_leakage
+from qbc.counting import CountingConfig, _Probe, work_leakage
 from qbc.statevector import H_MAT, X_MAT, GateError, StateVector
 
 SEEDS = range(40)
@@ -122,6 +122,39 @@ def test_x_swap_and_h_kernel_match_mask_reference_bitwise(seed, predicated):
             assert np.array_equal(sv.amps, want), kind
 
 
+@pytest.mark.parametrize("predicated", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_diagonal_gates_and_reflection_match_mask_reference_bitwise(seed, predicated):
+    # sign flips are exact and a phase is one scalar multiply, as in the
+    # reference, so the results agree value for value
+    rng = np.random.default_rng(2000 + seed)
+    nq = int(rng.integers(3, 7))
+    sv = random_state(nq, rng)
+    for _ in range(6):
+        k = int(rng.integers(1, nq - 1)) if predicated else 0
+        table = rng.integers(0, 2, 1 << k) if predicated else None
+        free = [int(q) for q in rng.permutation(np.arange(k, nq))]
+        target, other, rest = free[0], free[1], free[2:]
+        controls = tuple(rest[: int(rng.integers(0, len(rest) + 1))])
+        angle = float(rng.uniform(0, 2 * np.pi))
+        want = ref_scale(sv, -1.0, controls + (target,), k, table)
+        sv.z(target, controls, table)
+        assert np.array_equal(sv.amps, want), "z"
+        want = ref_scale(sv, np.exp(1j * angle), controls + (target,), k, table)
+        sv.phase(angle, target, controls, table)
+        assert np.array_equal(sv.amps, want), "phase"
+        want = ref_scale(sv, -1.0, controls + (target, other), k, table)
+        sv.cz(target, other, controls, table)
+        assert np.array_equal(sv.amps, want), "cz"
+        order = [int(q) for q in rng.permutation(nq)]
+        width = int(rng.integers(0, nq + 1))
+        register, others = order[:width], order[width:]
+        controls = tuple(others[: int(rng.integers(0, len(others) + 1))])
+        want = ref_reflect(sv, register, controls)
+        sv.reflect_about_zero(register, controls)
+        assert np.array_equal(sv.amps, want), "reflect0"
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_readouts_match_mask_reference(seed):
     rng = np.random.default_rng(seed)
@@ -159,12 +192,50 @@ def test_readouts_match_mask_reference(seed):
     lambda sv: sv.apply_1q(np.eye(2, dtype=complex), 3),
     lambda sv: sv.x(3, controls=(3,)),
     lambda sv: sv.h(1, pred=[0, 1, 1, 1]),
+    lambda sv: sv.z(0, controls=(0,)),
+    lambda sv: sv.cz(0, 1, controls=(0,)),
+    lambda sv: sv.phase(0.3, 0, controls=(0,)),
+    lambda sv: sv.swap(0, 1, controls=(0,)),
 ], ids=["table-not-power-of-two", "table-wider-than-state", "control-in-reg",
         "target-in-reg", "phase-control-in-reg", "leak-gap", "leak-past-end",
-        "not-h-or-x", "target-is-control", "h-target-in-reg"])
+        "not-h-or-x", "target-is-control", "h-target-in-reg", "z-target-is-control",
+        "cz-target-is-control", "phase-target-is-control", "swap-target-is-control"])
 def test_malformed_conditions_rejected_without_touching_the_state(call):
     sv = random_state(4, np.random.default_rng(9))
     before = sv.amps.copy()
     with pytest.raises(GateError):
         call(sv)
+    assert np.array_equal(sv.amps, before)
+
+
+def random_probe(rng) -> _Probe:
+    """A 4-qubit round probe: index qubits 0, 1 and work qubits 2, 3."""
+    probe = _Probe(CountingConfig(2, 1, lambda state: None, 2))
+    probe.amps[:] = random_state(4, rng).amps
+    return probe
+
+
+def random_state_4(rng) -> StateVector:
+    return random_state(4, rng)
+
+
+@pytest.mark.parametrize("valid,bad,make", [
+    (lambda sv: sv.x(3, pred=[0, 1]), lambda sv: sv.x(3, pred=[0, 1, 0]), random_state_4),
+    (lambda sv: sv.h(3, controls=(1,)), lambda sv: sv.h(3, controls=(1,), pred=[0, 1, 1, 1]),
+     random_state_4),
+    (lambda sv: sv.z(0, controls=(1,)), lambda sv: sv.z(1, controls=(1,)), random_state_4),
+    (lambda sv: sv.cz(0, 1), lambda sv: sv.cz(0, 1, controls=(0,)), random_state_4),
+    (lambda sv: sv.x(1), lambda sv: sv.x(1), random_probe),
+    (lambda sv: sv.x(3, pred=[0, 1]), lambda sv: sv.x(3, pred=[0, 1]), random_probe),
+], ids=["table-length", "control-in-reg", "target-is-control", "cz-target-is-control",
+        "probe-index-target", "probe-table-span"])
+def test_a_cached_plan_does_not_pass_a_malformed_call(valid, bad, make):
+    # a valid call on as many qubits first caches a plan that shares the
+    # bad call's operands in part (for the table-length and probe rows,
+    # in full: only the per-call table step can reject those)
+    valid(StateVector(4))
+    sv = make(np.random.default_rng(9))
+    before = sv.amps.copy()
+    with pytest.raises(GateError):
+        bad(sv)
     assert np.array_equal(sv.amps, before)

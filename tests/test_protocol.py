@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbc.oracles
+from qbc.counting import phase_estimation_distribution
 from qbc.ledger import ChannelLedger, expected_ledger
 from qbc.oracles import CorrelationMode, random_bits
 from qbc.protocol import (
@@ -532,3 +533,44 @@ def test_blindness_property_small_instances(seed):
     base = run_qbc_baseline(x, y, 3, return_distribution=True)
     blind = run_blind_client(x, y, 3, rng=rng, return_distribution=True)
     assert tv_distance(base.distribution, blind.distribution) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["baseline", "blind-server", "blind-client", "multiparty"]),
+       st.integers(1, 16), st.integers(1, 5), st.booleans(), st.integers(0, 2**31 - 1))
+def test_every_variant_law_is_the_counting_law_of_its_joint_bits(variant, num, t, forced, seed):
+    # an independent check of every variant's exact law: the analytic
+    # phase-estimation law of the count the server's readout estimates
+    rng = np.random.default_rng(seed)
+    x, y = random_bits(num, rng), random_bits(num, rng)
+    m, padded = 1, True
+    if variant == "baseline":
+        run = run_qbc_baseline(x, y, t, return_distribution=True)
+        count = int(np.sum(x & y))
+    elif variant == "blind-server":
+        g = random_bits(num, rng) & (1 - y) if forced else None
+        run = run_blind_server(x, y, t, rng=rng, pad_bits=g, return_distribution=True)
+        count = int(np.sum(x & y)) + int(np.sum(run.pads["g"]))
+        if forced:
+            assert np.array_equal(run.pads["g"], g)
+    elif variant == "blind-client":
+        r, h = (random_bits(num, rng), random_bits(num, rng)) if forced else (None, None)
+        run = run_blind_client(x, y, t, rng=rng, force_basis=r, force_pad=h,
+                               return_distribution=True)
+        count = int(np.sum(x & y))
+    else:
+        m = int(rng.integers(2, 4))
+        ys = [random_bits(num, rng) for _ in range(m)]
+        padded = forced or bool(rng.integers(0, 2))
+        g = random_bits(num, rng) if forced else None
+        run = run_multiparty(x, ys, t, rng=rng, pad_first_client=padded, pad_bits=g,
+                             return_distribution=True)
+        parity = np.bitwise_xor.reduce([x & yk for yk in ys])
+        count = int(np.sum(parity ^ run.pads["g"])) if padded else int(np.sum(parity))
+    n = index_width_for(num)
+    law = phase_estimation_distribution(count, 1 << n, t)
+    assert tv_distance(run.distribution, law) <= 1e-12
+    want = expected_ledger(variant, n, t, num_clients=m, pad_first_client=padded)
+    if variant in ("baseline", "blind-server"):
+        want.classical_bits_sent -= t  # an exact-law run measures nothing
+    assert ledgers_equal(run.ledger, want)

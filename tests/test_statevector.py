@@ -174,6 +174,21 @@ def test_operand_overlap_rejected():
         sv.swap(0, 0)
     with pytest.raises(GateError):
         sv.reflect_about_zero([0, 1], controls=(1,))
+    with pytest.raises(GateError):
+        sv.z(0, controls=(0,))
+    with pytest.raises(GateError):
+        sv.cz(0, 1, controls=(0,))
+    with pytest.raises(GateError):
+        sv.phase(0.3, 0, controls=(0,))
+
+
+def test_probability_takes_only_a_bit_value():
+    sv = StateVector(1)
+    sv.h(0)
+    for value in (-1, 2, 0.5):
+        with pytest.raises(GateError):
+            sv.probability(0, value)
+    assert sv.probability(0, 0) == sv.probability(0, 1) == pytest.approx(0.5)
 
 
 def test_reflect_about_zero_flips_all_but_zero():
