@@ -121,11 +121,14 @@ def attack_plus_probe(
     budget are simulated classically (uniform j, exact bit); quantum=True
     forces the statevector path, quantum=False the classical one. With
     trials > 0 the learned-set-size distribution over that many
-    executions is reported against the occupancy formula.
+    executions is reported against the occupancy formula. Both count
+    only the N data cells of the padded 2**n index span.
     """
     y = as_bits(y)
     n = index_width_for(len(y))
     size = 1 << n
+    if trials < 0:
+        raise GateError(f"trials must be non-negative, got {trials}")
     if rounds is None:
         rounds = (1 << t) - 1
     use_quantum = quantum if quantum is not None else rounds <= 64
@@ -156,15 +159,18 @@ def attack_plus_probe(
         guessed="".join(guess_chars),
         hamming_to_truth=hamming,
         known_positions=len(learned),
-        distance_pmf={d: p for d, p in enumerate(occupancy_pmf(rounds, size)) if p > 0},
+        distance_pmf={d: p for d, p in enumerate(_hits_pmf(rounds, len(y), size)) if p > 0},
         trials=trials,
     )
     if trials > 0:
-        hist = np.zeros(size + 1, dtype=np.int64)
+        num = len(y)
+        hist = np.zeros(num + 1, dtype=np.int64)
         for rows in _row_blocks(trials, rounds):
             draws = np.sort(rng.integers(0, size, size=(rows, rounds)), axis=1)
-            counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + 1
-            hist += np.bincount(counts, minlength=size + 1)
+            np.minimum(draws, num, out=draws)  # the padding cells merge into one, num
+            real_last = (draws[:, -1:] < num).sum(axis=1)
+            counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + real_last
+            hist += np.bincount(counts, minlength=num + 1)
         report.mc_pmf = {d: float(p) for d, p in enumerate(hist / trials) if p > 0}
     return report
 
@@ -172,6 +178,14 @@ def attack_plus_probe(
 def occupancy_pmf(rounds: int, num_values: int) -> np.ndarray:
     """Distribution of the number of distinct cells hit by `rounds`
     uniform draws over `num_values` cells."""
+    return _hits_pmf(rounds, num_values, num_values)
+
+
+def _hits_pmf(rounds: int, num_values: int, cells: int) -> np.ndarray:
+    """Distribution of the number of distinct cells among the first
+    `num_values` hit by `rounds` uniform draws over `cells` cells; the
+    probe draws over the padded index span, whose extra cells hold no
+    data."""
     if num_values < 1 or rounds < 0:
         raise GateError("need a positive cell count and non-negative rounds")
     p = np.zeros(num_values + 1)
@@ -179,8 +193,8 @@ def occupancy_pmf(rounds: int, num_values: int) -> np.ndarray:
     for _ in range(rounds):
         nxt = np.zeros_like(p)
         d = np.arange(num_values + 1)
-        nxt += p * d / num_values
-        nxt[1:] += p[:-1] * (num_values - d[:-1]) / num_values
+        nxt += p * (d + cells - num_values) / cells
+        nxt[1:] += p[:-1] * (num_values - d[:-1]) / cells
         p = nxt
     return p
 
@@ -237,6 +251,8 @@ def attack_biased_index(
     """Amplitude-biased index preparation vs the X-basis check: reports
     the sampling advantage on the focus index and the exact and
     empirical detection rates."""
+    if trials < 1:
+        raise GateError(f"trials must be at least 1, got {trials}")
     state = biased_index_state(index_width, focus, focus_prob)
     accept = uniformity_accept_probability(state, range(index_width))
     rejected = sum(
@@ -339,6 +355,8 @@ def overlap_mc_pmf(
     k = min((1 << t) - 1, d_y)
     if k > num_values:
         raise GateError("cannot draw more distinct indices than exist")
+    if trials < 1:
+        raise GateError(f"trials must be at least 1, got {trials}")
     pmf = np.zeros(d_y + 1)
     if k == 0:
         pmf[0] = 1.0
@@ -387,6 +405,8 @@ def attack_blind_server_worst_case(
     num = len(y)
     d_y = int(np.sum(y))
     k = min((1 << t) - 1, d_y)
+    if trials < 0:
+        raise GateError(f"trials must be non-negative, got {trials}")
     pads = blind_server_pad(y, rng)
     sampled = rng.choice(num, size=min((1 << t) - 1, num), replace=False)
     guess_chars = ["?"] * num

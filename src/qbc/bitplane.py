@@ -9,6 +9,7 @@ plane's counting error is damped by its weight.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ def decompose_bitplanes(value: float, u: int, num_planes: int) -> BitPlaneDecomp
     """Greedy binary expansion of `value` from exponent u downward."""
     if num_planes < 1:
         raise GateError("need at least one plane")
+    if not math.isfinite(value):
+        raise GateError(f"value {value} is not finite")
     if value < 0:
         raise GateError("negative values are out of scope")
     if value >= 2.0 ** (u + 1):
@@ -90,8 +93,8 @@ def regression_demo(
     y = as_bits(y)
     if x_column.ndim != 1 or len(x_column) != len(y):
         raise GateError("x column and y must be equal-length vectors")
-    if np.any(x_column < 0) or np.any(x_column > 1):
-        raise GateError("column entries must lie in [0, 1]")
+    if not np.all((x_column >= 0) & (x_column <= 1)):  # nan fails both
+        raise GateError("column entries must be finite and lie in [0, 1]")
     if variant not in ("baseline", "blind-client"):
         raise GateError("regression supports the baseline and blind-client variants")
     if u is None:

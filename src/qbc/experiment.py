@@ -114,8 +114,11 @@ class ExperimentConfig:
             raise GateError("--x-file and --y-file must both be given")
         if self.mode is not CorrelationMode.AND and self.protocol != "baseline":
             raise GateError(f"--mode {self.mode.value} needs --protocol baseline")
+        rules = [rule.value for rule in RedundancyRule]
+        if self.redundancy_rule not in rules:
+            raise GateError(f"--redundancy-rule must be one of {rules}, "
+                            f"got {self.redundancy_rule!r}")
         if self.redundancy_m > 1:
-            RedundancyRule(self.redundancy_rule)
             if self.protocol == "multiparty":
                 raise GateError("redundant encoding is a two-party construction")
             if self.mode is not CorrelationMode.AND:

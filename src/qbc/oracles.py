@@ -36,10 +36,11 @@ class CorrelationMode(enum.Enum):
 
 
 def as_bits(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise GateError("bit vector must be one-dimensional")
-    if not np.all((arr == 0) | (arr == 1)):
+    # checked before the cast, which would truncate 0.5 to 0 and warn on nan
+    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
         raise GateError("bit vector entries must be 0 or 1")
     return arr.astype(np.uint8)
 

@@ -11,25 +11,27 @@ round of the baseline protocol:
 
 Every client does the same: its data oracle, the correlation gate and
 the oracle again, on its first work qubit. So a variant supplies its
-work-qubit owners (`work_owners`) and a closure of the server's own
-gates around `trip`, the one round trip: server -> client 1 -> ... ->
-client m -> server, with client 1 applying the variant's pad table, if
-any; it keeps only those gates and its own pad rules. One private driver
-converts the inputs to bits; computes their joint bits (x XOR y in XOR
-mode, else the parity of the per-client products x AND y_k) and the
-truth from them; checks every caller-fixed pad or basis draw against
-the data length before any round runs; lays out index qubits [0, n),
-o1 at n and the work qubits after it; keeps the ownership map, ledger
-and transcript; frames each round (begin, the server's hold on the
-carrier, the steps, end, the round hook); and samples the counting
-readout or returns its law.
+work-qubit owners (`work_owners`) and the server's own gates around
+`trip`, the one round trip: server -> client 1 -> ... -> client m ->
+server, with client 1 applying the variant's pad table, if any; it
+keeps only those gates and its own pad rules. Baseline, blind-server
+and multiparty share one round, `one_trip`: Ux, the trip, Ux.
+`ProtocolSim` is the one execution object. It converts the inputs to
+bits; computes their joint bits (x XOR y in XOR mode, else the parity
+of the per-client products x AND y_k) and the truth from them; checks
+every caller-fixed pad or basis draw against the data length before any
+round runs; lays out index qubits [0, n), o1 at n and the work qubits
+after it; keeps the ownership map, ledger and transcript; frames each
+round (begin, the server's hold on the carrier, the steps, end, the
+round hook); and samples the counting readout or returns its law.
 The round counter is the ledger's `grover_rounds`, and a round's
 transcript rows are the ones appended since the round began.
 
 The oracles take padded tables, built when their bits are drawn: the
 driver builds those of x, of each client's y and of a fixed pad g once
 per run, a redrawn blind-server pad's each round, and the blind-client
-step its basis, pad, x AND r and x AND NOT r tables each round.
+step its basis and pad tables each round; its x AND r and x AND NOT r
+tables are products of those tables, whose padding is zero.
 
 The counting layer runs each round once on a probe of the index + work
 block (see `qbc.counting`), so the parties' gates act on exactly the
@@ -111,48 +113,6 @@ def index_width_for(num_values: int) -> int:
     return max(1, (num_values - 1).bit_length())
 
 
-class ProtocolSim:
-    """Ownership map, ledger, and transcript of one execution."""
-
-    def __init__(self, owners: dict, ledger: ChannelLedger, server_home):
-        self.owners = dict(owners)
-        self.ledger = ledger
-        self.transcript: list[TranscriptEntry] = []
-        self.server_home = list(server_home)
-        self._round_start = 0
-        self._round_call_base = 0
-
-    @property
-    def round_index(self) -> int:
-        return self.ledger.grover_rounds
-
-    def begin_round(self):
-        self.ledger.grover_rounds += 1
-        self._round_start = len(self.transcript)
-        self._round_call_base = self.ledger.oracle_total()
-
-    def end_round(self):
-        calls = self.ledger.oracle_total() - self._round_call_base
-        for entry in self.transcript[self._round_start:]:
-            entry.oracle_calls = calls
-        self.require_owner(SERVER, self.server_home)
-
-    def require_owner(self, party: str, qubits):
-        for q in qubits:
-            holder = self.owners.get(q)
-            if holder != party:
-                raise OwnershipError(
-                    f"round {self.round_index}: {party} acted on qubit {q} held by {holder}"
-                )
-
-    def transfer(self, qubits, src: str, dst: str):
-        self.require_owner(src, qubits)
-        for q in qubits:
-            self.owners[q] = dst
-        self.ledger.quantum_qubits_sent += len(qubits)
-        self.transcript.append(TranscriptEntry(self.round_index, src, dst, len(qubits)))
-
-
 @dataclass
 class ProtocolRun:
     variant: str
@@ -197,13 +157,14 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
     raise GateError(f"unknown protocol {variant!r}")
 
 
-class _Execution:
+class ProtocolSim:
     """One protocol execution: the inputs as bits, their joint bits and
-    truth, the layout, ledger, ProtocolSim and data tables of a variant,
-    and the round frame and round trip that every variant shares."""
+    truth, the data tables, the layout, the ownership map, ledger and
+    transcript, and the round frame, round trip and readout that every
+    variant shares."""
 
     def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND):
-        self.x = x = as_bits(x)
+        x = as_bits(x)
         self.ys = ys = [as_bits(y) for y in ys]
         self.variant = variant
         self.num_values = len(x)
@@ -224,14 +185,46 @@ class _Execution:
         self.o1 = n
         self.carried = list(range(n + 1))
         self.work = list(range(n + 1, n + 1 + len(holders)))
-        owners = dict.fromkeys(self.carried, SERVER)
-        owners.update(zip(self.work, holders))
+        self.owners = dict.fromkeys(self.carried, SERVER)
+        self.owners.update(zip(self.work, holders))
         self.clients: dict[str, list[int]] = {}  # each client's work qubits, in visiting order
         for q, holder in zip(self.work, holders):
             if holder != SERVER:
                 self.clients.setdefault(holder, []).append(q)
         self.ledger = ChannelLedger()
-        self.sim = ProtocolSim(owners, self.ledger, range(n))
+        self.transcript: list[TranscriptEntry] = []
+        self._round_start = 0
+        self._round_call_base = 0
+
+    @property
+    def round_index(self) -> int:
+        return self.ledger.grover_rounds
+
+    def begin_round(self):
+        self.ledger.grover_rounds += 1
+        self._round_start = len(self.transcript)
+        self._round_call_base = self.ledger.oracle_total()
+
+    def end_round(self):
+        calls = self.ledger.oracle_total() - self._round_call_base
+        for entry in self.transcript[self._round_start:]:
+            entry.oracle_calls = calls
+        self.require_owner(SERVER, range(self.n))
+
+    def require_owner(self, party: str, qubits):
+        for q in qubits:
+            holder = self.owners.get(q)
+            if holder != party:
+                raise OwnershipError(
+                    f"round {self.round_index}: {party} acted on qubit {q} held by {holder}"
+                )
+
+    def transfer(self, qubits, src: str, dst: str):
+        self.require_owner(src, qubits)
+        for q in qubits:
+            self.owners[q] = dst
+        self.ledger.quantum_qubits_sent += len(qubits)
+        self.transcript.append(TranscriptEntry(self.round_index, src, dst, len(qubits)))
 
     def fixed_draw(self, bits, name: str):
         """A caller-fixed pad or basis draw as bits, or None to leave it to
@@ -251,29 +244,36 @@ class _Execution:
         and on `back`."""
         holder = SERVER
         for (client, work), y in zip(self.clients.items(), self.y_tables):
-            self.sim.transfer(self.carried, holder, client)
-            self.sim.require_owner(client, self.carried + work)
+            self.transfer(self.carried, holder, client)
+            self.require_owner(client, self.carried + work)
             apply_data_oracle(state, work[0], y, self.ledger, "Uy")
             apply_correlation_gate(state, self.o1, work[0], self.mode)
             apply_data_oracle(state, work[0], y, self.ledger, "Uy")
             if pad is not None and holder == SERVER:  # client 1
                 apply_phase_pad(state, pad, work[-1], self.ledger, "Ug")
             holder = client
-        self.sim.transfer(self.carried, holder, SERVER)
-        self.sim.require_owner(SERVER, self.carried + list(back))
+        self.transfer(self.carried, holder, SERVER)
+        self.require_owner(SERVER, self.carried + list(back))
+
+    def one_trip(self, state, pad=None):
+        """The single-trip round of baseline, blind-server and multiparty:
+        the server encodes x into the carrier, one trip with the pad
+        table, if given, and the server uncomputes x."""
+        apply_data_oracle(state, self.o1, self.x_table, self.ledger, "Ux")
+        self.trip(state, pad)
+        apply_data_oracle(state, self.o1, self.x_table, self.ledger, "Ux")
 
     def run(self, steps, t, rng, return_distribution, round_hook, result_bits):
         """Count over the rounds `steps` makes, then return the exact
         readout law or sample it and send result_bits to the client."""
-        sim = self.sim
 
         def grover_round(state):
-            sim.begin_round()
-            sim.require_owner(SERVER, self.carried)
+            self.begin_round()
+            self.require_owner(SERVER, self.carried)
             steps(state)
-            sim.end_round()
+            self.end_round()
             if round_hook is not None:
-                round_hook(sim.round_index, state)
+                round_hook(self.round_index, state)
 
         cfg = CountingConfig(self.n, t, grover_round, work_qubits=1 + len(self.work))
         result = estimate = dist = None
@@ -297,7 +297,7 @@ class _Execution:
             truth=self.truth,
             server_view_truth=self.truth,
             ledger=self.ledger,
-            transcript=sim.transcript,
+            transcript=self.transcript,
             distribution=dist,
         )
 
@@ -312,15 +312,8 @@ def run_qbc_baseline(
     round_hook=None,
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
-    ex = _Execution("baseline", x, [y], mode=mode)
-    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
-
-    def steps(state):
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
-        ex.trip(state)
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
-
-    return ex.run(steps, t, rng, return_distribution, round_hook, t)
+    sim = ProtocolSim("baseline", x, [y], mode=mode)
+    return sim.run(sim.one_trip, t, rng, return_distribution, round_hook, t)
 
 
 def run_blind_server(
@@ -340,9 +333,9 @@ def run_blind_server(
     iterates and breaks exact recovery. pad_per_round=True enables that
     regime anyway so the resulting estimator bias can be studied; the
     recovery then subtracts the average pad mean."""
-    ex = _Execution("blind-server", x, [y])
-    num, (y,) = ex.num_values, ex.ys
-    g = ex.fixed_draw(pad_bits, "pad_bits")
+    sim = ProtocolSim("blind-server", x, [y])
+    num, (y,) = sim.num_values, sim.ys
+    g = sim.fixed_draw(pad_bits, "pad_bits")
     if g is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
@@ -352,22 +345,19 @@ def run_blind_server(
     elif np.any(g & y):
         raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
-    g_table = padded_table(g, ex.n)
-    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
+    g_table = padded_table(g, sim.n)
 
     def steps(state):
         nonlocal g_table
-        if pad_per_round and ex.sim.round_index > 1:
+        if pad_per_round and sim.round_index > 1:
             pads_used.append(blind_server_pad(y, rng))
-            g_table = padded_table(pads_used[-1], ex.n)
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
-        ex.trip(state, pad=g_table)
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
+            g_table = padded_table(pads_used[-1], sim.n)
+        sim.one_trip(state, g_table)
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, t)
+    run = sim.run(steps, t, rng, return_distribution, round_hook, t)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
     if disclose_pad_sum:
-        ledger.classical_bits_sent += math.ceil(math.log2(num + 1))
+        sim.ledger.classical_bits_sent += math.ceil(math.log2(num + 1))
     if run.estimate is not None:
         run.recovered_estimate = run.estimate - pad_mean
     run.server_view_truth = run.truth + pad_mean
@@ -389,31 +379,31 @@ def run_blind_client(
     per-round random basis choices and phase pads. Bases and pads are
     redrawn every round; the pipeline restores the exact baseline branch
     phases each round, so the readout statistics match the baseline."""
-    ex = _Execution("blind-client", x, [y])
-    num, x = ex.num_values, ex.x
-    fixed_r = ex.fixed_draw(force_basis, "force_basis")
-    fixed_h = ex.fixed_draw(force_pad, "force_pad")
+    sim = ProtocolSim("blind-client", x, [y])
+    num = sim.num_values
+    fixed_r = sim.fixed_draw(force_basis, "force_basis")
+    fixed_h = sim.fixed_draw(force_pad, "force_pad")
     if (fixed_r is None or fixed_h is None) and rng is None:
         raise GateError("need an rng to draw bases and pads")
     bases: list[np.ndarray] = []
     pads: list[np.ndarray] = []
-    o1, oa, ledger, xt = ex.o1, ex.work[-1], ex.ledger, ex.x_table
+    o1, oa, ledger, xt = sim.o1, sim.work[-1], sim.ledger, sim.x_table
 
     def steps(state):
         r_bits = fixed_r if fixed_r is not None else random_bits(num, rng)
         h_bits = fixed_h if fixed_h is not None else random_bits(num, rng)
         bases.append(r_bits)
         pads.append(h_bits)
-        rt, ht = padded_table(r_bits, ex.n), padded_table(h_bits, ex.n)
-        x_on, x_off = padded_table(x & r_bits, ex.n), padded_table(x & (1 - r_bits), ex.n)
+        rt, ht = padded_table(r_bits, sim.n), padded_table(h_bits, sim.n)
+        x_on, x_off = xt & rt, xt & (1 - rt)
         apply_ux1(state, o1, xt, rt, ledger)
-        ex.trip(state, back=[oa])
+        sim.trip(state, back=[oa])
         apply_ux2(state, o1, oa, xt, rt, x_off, ledger)
         apply_ux3(state, ht, oa, ledger)
-        ex.trip(state, back=[oa])
+        sim.trip(state, back=[oa])
         apply_ux4(state, o1, oa, x_on, rt, ht, ledger)
 
-    run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
+    run = sim.run(steps, t, rng, return_distribution, round_hook, 0)
     run.pads = {"basis": bases, "h": pads}
     return run
 
@@ -421,7 +411,7 @@ def run_blind_client(
 def parity_fraction(x, ys) -> float:
     """Classical oracle for the cascade: the mean over indices of the
     parity of the per-client products."""
-    return _Execution("multiparty", x, ys).truth
+    return ProtocolSim("multiparty", x, ys).truth
 
 
 def run_multiparty(
@@ -441,22 +431,16 @@ def run_multiparty(
         raise GateError("cascade needs at least two clients")
     if pad_bits is not None and not pad_first_client:
         raise GateError("pad_bits needs pad_first_client=True")
-    ex = _Execution("multiparty", x, ys)
-    g = ex.fixed_draw(pad_bits, "pad_bits")
+    sim = ProtocolSim("multiparty", x, ys)
+    g = sim.fixed_draw(pad_bits, "pad_bits")
     if pad_first_client and g is None:
         if rng is None:
             raise GateError("need an rng to draw the pad")
-        g = random_bits(ex.num_values, rng)
-    g_table = None if g is None else padded_table(g, ex.n)
-    o1, ledger, xt = ex.o1, ex.ledger, ex.x_table
-
-    def steps(state):
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
-        ex.trip(state, pad=g_table)
-        apply_data_oracle(state, o1, xt, ledger, "Ux")
-
-    run = ex.run(steps, t, rng, return_distribution, round_hook, 0)
+        g = random_bits(sim.num_values, rng)
+    g_table = None if g is None else padded_table(g, sim.n)
+    run = sim.run(lambda state: sim.one_trip(state, g_table), t, rng, return_distribution,
+                  round_hook, 0)
     if g is not None:
-        run.server_view_truth = float(np.sum(ex.joint ^ g)) / ex.num_values
+        run.server_view_truth = float(np.sum(sim.joint ^ g)) / sim.num_values
         run.pads = {"g": g}
     return run

@@ -6,6 +6,7 @@ written below, not against the library's own formulas.
 """
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,39 @@ def test_redundant_round_trip_property(copies, y, seed):
     raw = Fraction(int(np.sum(x_wide & y_wide)), num * copies)
     decoded = redundant_decode(raw, copies, RedundancyRule.HIDE_AMONG_ZEROS)
     assert decoded == Fraction(int(np.sum(np.asarray(x) & np.asarray(y, dtype=np.uint8))), num)
+
+
+@pytest.mark.parametrize("num", [3, 5, 6])
+def test_probe_learned_set_counts_only_data_cells(num):
+    # the probe draws over the padded span 2**n; cells at or past N hold
+    # no data, so they never add a known position
+    size, rounds, trials = 1 << (num - 1).bit_length(), 4, 40_000
+    hist = [0] * (num + 1)
+    for seq in itertools.product(range(size), repeat=rounds):
+        hist[len({j for j in seq if j < num})] += 1
+    want = {d: h / size**rounds for d, h in enumerate(hist) if h}
+    report = attack_plus_probe(([1, 0] * num)[:num], 3, np.random.default_rng(106), rounds=rounds,
+                               quantum=False, trials=trials)
+    assert report.distance_pmf.keys() == want.keys()
+    for d, p in want.items():
+        assert report.distance_pmf[d] == pytest.approx(p, abs=1e-12)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(report.mc_pmf.get(d, 0.0) - p) <= 3 * sigma + 1e-12, (d, p)
+    assert report.known_positions <= num
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: attack_plus_probe([1, 0, 1], 2, rng, trials=-1),
+    lambda rng: attack_blind_server_worst_case([1, 0, 1], 2, rng, trials=-1),
+    lambda rng: attack_biased_index(2, 1, 0.5, rng, trials=0),
+    lambda rng: overlap_mc_pmf(8, 3, 2, rng, trials=0),
+    lambda rng: pr_hamming_overlap(8, 3, 2, 1, rng, trials=-5),
+], ids=["plus-probe", "blind-server-worst", "biased-index", "overlap-mc", "hamming-overlap"])
+def test_monte_carlo_trial_counts_are_checked(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateError, match="trials"):
+            call(np.random.default_rng(107))
 
 
 # -- Monte Carlo in bounded blocks ---------------------------------------------

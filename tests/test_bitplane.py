@@ -46,6 +46,9 @@ def test_decomposition_validation():
         decompose_bitplanes(-0.1, -1, 3)
     with pytest.raises(GateError, match="digit above"):
         decompose_bitplanes(1.0, -1, 3)
+    for value in (math.nan, math.inf):  # nan had read as all-zero planes
+        with pytest.raises(GateError, match="not finite"):
+            decompose_bitplanes(value, -1, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,6 +109,8 @@ def test_regression_validation():
         regression_demo([0.5, 0.5], [1], 3, 2, rng=rng)
     with pytest.raises(GateError, match="\\[0, 1\\]"):
         regression_demo([1.5, 0.0], [1, 1], 3, 2, rng=rng)
+    with pytest.raises(GateError, match="finite"):  # nan had given a value near 1
+        regression_demo([math.nan, 0.5, 0.25, 0.5], [1, 1, 0, 1], 3, 3, rng=rng)
     with pytest.raises(GateError, match="variant"):
         regression_demo([0.5, 0.5], [1, 1], 3, 2, variant="blind-server", rng=rng)
 

@@ -63,6 +63,7 @@ def test_config_validation_matrix():
         dict(ok, redundancy_m=2, protocol="multiparty"),
         dict(ok, redundancy_m=2, mode=CorrelationMode.XOR),
         dict(ok, redundancy_m=2, redundancy_rule="bogus"),
+        dict(ok, redundancy_rule="bogus"),  # checked even with one slot per index
         dict(ok, protocol="blind-server", mode=CorrelationMode.XOR),  # product means only
         dict(ok, protocol="blind-client", mode=CorrelationMode.XOR),
         dict(ok, protocol="multiparty", mode=CorrelationMode.XOR),
@@ -71,6 +72,8 @@ def test_config_validation_matrix():
     for bad in cases:
         with pytest.raises((GateError, ValueError)):
             ExperimentConfig(**bad)
+    with pytest.raises(GateError, match="--redundancy-rule"):
+        ExperimentConfig(**dict(ok, redundancy_rule="bogus"))
 
 
 def test_config_widths_account_for_redundancy():

@@ -6,6 +6,7 @@ must be exactly the product phase (-1)**(x_i y_i) with all work qubits
 back in |0>.
 """
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qbc.oracles import (
     padded_table,
     random_bits,
 )
+from qbc.protocol import run_qbc_baseline
 from qbc.statevector import StateVector
 
 RNG = np.random.default_rng(513)
@@ -73,6 +75,23 @@ def test_as_bits_rejects_non_binary():
         as_bits([0, 2])
     with pytest.raises(GateError):
         as_bits([[0, 1]])
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.9, 1.5, np.nan, np.inf, -np.inf])
+def test_as_bits_rejects_fractions_and_non_finite_without_a_warning(bad):
+    # a cast before the check read 0.5 and 0.9 as 0 and warned on nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateError):
+            as_bits([1, bad, 0])
+    with pytest.raises(GateError):
+        run_qbc_baseline([bad, 1, 0.9, 1], [1, 1, 1, 1], 3, return_distribution=True)
+
+
+def test_as_bits_accepts_bools_and_integral_floats():
+    assert list(as_bits([True, False])) == [1, 0]
+    assert list(as_bits(np.array([0.0, 1.0]))) == [0, 1]
+    assert as_bits([0.0, 1.0]).dtype == np.uint8
 
 
 def test_bits_from_string():

@@ -1,5 +1,7 @@
 """End-to-end protocol runs: channel ledgers, ownership, transcripts,
 blindness of the readout statistics, and estimator truth."""
+import hashlib
+import json
 import math
 import sys
 
@@ -57,7 +59,7 @@ def all_pairs(num: int):
     ("baseline", 2, 0),                 # x, y
     ("blind-server", 3, 0),             # x, y, g
     ("blind-server-per-round", 3, 1),   # x, y, g; a new g from round 2 on
-    ("blind-client", 2, 4),             # x, y; r, h, x&r, x&~r each round
+    ("blind-client", 2, 2),             # x, y; r and h each round
     ("multiparty-padded", 5, 0),        # x, three ys, g
     ("multiparty-unpadded", 3, 0),      # x, two ys
 ])
@@ -222,23 +224,27 @@ def test_expected_ledger_validation():
 # -- ownership and transcript ------------------------------------------------------
 
 
+# a two-value baseline execution: index qubit 0 and carrier 1 start with
+# the server, work qubit 2 with the client
+
+
 def test_transfer_requires_current_owner():
-    sim = ProtocolSim({0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
+    sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
     with pytest.raises(OwnershipError):
-        sim.transfer([1], SERVER, client_name(1))
+        sim.transfer([2], SERVER, client_name(1))
     sim.transfer([0], SERVER, client_name(1))
     assert sim.owners[0] == client_name(1)
     assert sim.ledger.quantum_qubits_sent == 1
 
 
 def test_require_owner_names_the_holder():
-    sim = ProtocolSim({0: SERVER, 1: client_name(1)}, ChannelLedger(), [0])
+    sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
     with pytest.raises(OwnershipError, match="client1"):
-        sim.require_owner(SERVER, [1])
+        sim.require_owner(SERVER, [2])
 
 
 def test_end_round_requires_registers_back_home():
-    sim = ProtocolSim({0: SERVER, 1: SERVER}, ChannelLedger(), [0, 1])
+    sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
     sim.begin_round()
     sim.transfer([0], SERVER, client_name(1))
     with pytest.raises(OwnershipError):
@@ -506,6 +512,50 @@ def test_multiparty_rejects_pad_bits_without_a_padding_client():
                        pad_bits=[1, 0, 0, 1], return_distribution=True,
                        round_hook=lambda r, state: rounds.append(r))
     assert rounds == []
+
+
+# -- pinned run artefacts --------------------------------------------------------------
+
+# sha256 of each variant's sampled run on seeded inputs: its ledger,
+# transcript lines, pads, readout outcome j and the rng state after the
+# run, so a refactor of the driver that moves any of them shows here
+ARTEFACT_DIGESTS = {
+    ("baseline", 5, 3): "472d6a3f0e73867c44bba7bec2887575df3914e44c90b6c0381ed83cad57c96f",
+    ("baseline", 8, 4): "345096410c6318586ef00c9c7c76463b9cdeab2e45b337153246884f3304be6c",
+    ("baseline", 16, 3): "5d82b5598ce7bebe733b409f5f34c6fb6ef9150083ea41ddf0429c54be3bea41",
+    ("blind-server", 5, 3): "4d3774cf0a73570bfa1a46cbe948532fbdd81e4bfca9826b12539f5a3c7b2000",
+    ("blind-server", 8, 4): "222d3410641fc9274de2afa34b501859ad65c290d4e25f98120ed4a995091df0",
+    ("blind-server", 16, 3): "05e6b578125e952e940e687e45a2227d52d62a5481e922ea88e1278bcfbf4974",
+    ("blind-client", 5, 3): "24f384a877a5106f0a363eeeccde24acacfca98197b55104e48db7fc85140abe",
+    ("blind-client", 8, 4): "b320008609978ef64f6609bc77f0990cfd5cd53d33e8c12827c521e9789a8f03",
+    ("blind-client", 16, 3): "9d1a58f1ed99ae7d632558df75f3455409f21b9f8da21eac82ea54bad42e6cc0",
+    ("multiparty", 5, 3): "c8555e616673a6180d3f44c2d302d543c27d1f6df168465589bf6f53108ff3e6",
+    ("multiparty", 8, 4): "e5b1998a7d6a1fd5f978595c645415a0c3978c6be8ab13c9394d794af392ac6f",
+    ("multiparty", 16, 3): "df03fd3b062dc7ceec18eb615c40ecef77aab7e9be7afb8bcfe7e828d2306f51",
+}
+
+
+@pytest.mark.parametrize("variant,num,t", sorted(ARTEFACT_DIGESTS))
+def test_run_artefacts_are_pinned(variant, num, t):
+    rng = np.random.default_rng([num, t])
+    x, y, y2 = (random_bits(num, rng) for _ in range(3))
+    if variant == "baseline":
+        run = run_qbc_baseline(x, y, t, rng=rng)
+    elif variant == "blind-server":
+        run = run_blind_server(x, y, t, rng=rng)
+    elif variant == "blind-client":
+        run = run_blind_client(x, y, t, rng=rng)
+    else:
+        run = run_multiparty(x, [y, y2], t, rng=rng)
+    payload = {
+        "ledger": run.ledger.as_dict(),
+        "transcript": transcript_lines(run),
+        "pads": {k: np.asarray(v).tolist() for k, v in run.pads.items()},
+        "j": run.result.j,
+        "rng": rng.bit_generator.state,
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == ARTEFACT_DIGESTS[(variant, num, t)]
 
 
 # -- property checks -----------------------------------------------------------------
