@@ -66,7 +66,7 @@ class PrivacyReport:
         }
 
 
-MC_BLOCK_VALUES = 1 << 20
+MC_BLOCK_VALUES = 1 << 16  # a block and its temporaries trace about 2 MB at N = 128
 
 
 def _row_blocks(trials: int, cols: int):
@@ -326,7 +326,7 @@ def pr_exact_recovery(num_values: int, d_x: int, count: int) -> tuple[float, flo
     comb = math.comb(d_x, count)
     free = 1 << (num_values - d_x)
     printed = comb / free
-    model = 1.0 / (comb * free)
+    model = 1 / (comb * free)  # int division: exact rounding, 0.0 past the float range
     return printed, model
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .experiment import (
     CapExceeded,
     ExperimentConfig,
     check_cap,
+    check_index_cap,
     derive_rng,
     max_qubits,
     privacy_table_overlap,
@@ -104,20 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one protocol variant")
     run_p.add_argument("--protocol", choices=VARIANTS, default="baseline")
-    run_p.add_argument("--n", type=int, required=True, help="number of data values N")
+    run_p.add_argument("--n", type=int, required=True, dest="num_values", metavar="N",
+                       help="number of data values N")
     run_p.add_argument("--t", type=int, required=True, help="readout precision qubits")
     run_p.add_argument("--trials", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--mode", choices=[m.value for m in CorrelationMode], default="and")
-    run_p.add_argument("--m", type=int, default=2, help="clients in the multiparty cascade")
+    run_p.add_argument("--m", type=int, default=2, dest="num_clients", metavar="M",
+                       help="clients in the multiparty cascade")
     run_p.add_argument("--redundancy-m", type=int, default=1,
                        help="slots per index for redundant support hiding")
     run_p.add_argument("--redundancy-rule", default="hide-among-zeros",
                        choices=["hide-among-zeros", "hide-among-ones"])
-    run_p.add_argument("--x-file", help="file of 0/1 characters, one vector per line")
-    run_p.add_argument("--y-file", help="file of 0/1 characters, one vector per line")
+    run_p.add_argument("--x-file", dest="x_path", metavar="X_FILE",
+                       help="file of 0/1 characters, one vector per line")
+    run_p.add_argument("--y-file", dest="y_path", metavar="Y_FILE",
+                       help="file of 0/1 characters, one vector per line")
     run_p.add_argument("--random-inputs", action="store_true")
-    run_p.add_argument("--transcript", action="store_true",
+    run_p.add_argument("--transcript", action="store_true", dest="include_transcript",
                        help="include the per-round channel transcript")
     run_p.add_argument("--out", help="write output here instead of stdout")
     run_p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -168,23 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    if args.transcript and args.format == "csv":
+    if args.include_transcript and args.format == "csv":
         raise GateError("--transcript needs --format json; the csv table has no transcript")
-    cfg = ExperimentConfig(
-        protocol=args.protocol,
-        num_values=args.n,
-        t=args.t,
-        trials=args.trials,
-        seed=args.seed,
-        mode=CorrelationMode(args.mode),
-        num_clients=args.m,
-        x_path=args.x_file,
-        y_path=args.y_file,
-        random_inputs=args.random_inputs,
-        include_transcript=args.transcript,
-        redundancy_m=args.redundancy_m,
-        redundancy_rule=args.redundancy_rule,
-    )
+    settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**dict(settings, mode=CorrelationMode(args.mode)))
     records = run_experiment(cfg)
     text = records_to_csv(records) if args.format == "csv" else records_to_json(cfg, records)
     _emit(text, args.out)
@@ -210,8 +203,7 @@ def cmd_attack(args) -> int:
             raise GateError(f"--focus must lie in [0, {1 << width}), got {args.focus}")
         if not 0.0 <= args.focus_prob <= 1.0:
             raise GateError(f"--focus-prob must lie in [0, 1], got {args.focus_prob}")
-        if width > max_qubits():  # the index register is the whole state
-            raise CapExceeded(width, max_qubits())
+        check_index_cap(width)
         trials = args.trials if args.trials > 0 else 1000
         payload = attack_biased_index(width, args.focus, args.focus_prob, rng, trials)
     else:
@@ -232,11 +224,15 @@ def cmd_privacy(args) -> int:
     require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
         grid = _parse_grid(args.grid) if args.grid is not None else RECOVERY_GRID
+        for num, _, _ in grid:  # 2^(N - d_x) takes up to N bits, as N index cells do
+            check_index_cap(index_width_for(num))
         table = privacy_table_recovery(grid)
     else:
         grid = _parse_grid(args.grid) if args.grid is not None else OVERLAP_GRID
         for _, _, t in grid:
             require_at_least("--grid t", t, 1)
+        for num, _, t in grid:  # each Monte Carlo trial draws N scores, one per index
+            check_cap("baseline", index_width_for(num), t)
         table = privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
     _emit(table, args.out)
     return 0

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,12 @@ def check_cap(protocol: str, index_width: int, t: int, num_clients: int = 1) -> 
     return needed
 
 
+def check_index_cap(index_width: int):
+    """The cap on a state that is an index register alone."""
+    if index_width > max_qubits():
+        raise CapExceeded(index_width, max_qubits())
+
+
 def require_at_least(flag: str, value: int, least: int):
     if value < least:
         raise GateError(f"{flag} must be at least {least}, got {value}")
@@ -105,6 +111,9 @@ class ExperimentConfig:
         for flag, value in (("--n", self.num_values), ("--t", self.t), ("--trials", self.trials),
                             ("--redundancy-m", self.redundancy_m)):
             require_at_least(flag, value, 1)
+        require_at_least("--seed", self.seed, 0)
+        if not isinstance(self.mode, CorrelationMode):
+            raise GateError(f"--mode must be a CorrelationMode, got {self.mode!r}")
         if self.protocol == "multiparty":
             require_at_least("--m", self.num_clients, 2)
         files_given = self.x_path is not None or self.y_path is not None
@@ -133,49 +142,8 @@ class ExperimentConfig:
         return index_width_for(self.effective_num_values)
 
     def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "num_values": self.num_values,
-            "t": self.t,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode.value,
-            "num_clients": self.num_clients,
-            "x_path": self.x_path,
-            "y_path": self.y_path,
-            "random_inputs": self.random_inputs,
-            "redundancy_m": self.redundancy_m,
-            "redundancy_rule": self.redundancy_rule,
-        }
-
-
-@dataclass
-class RunRecord:
-    run_id: int
-    estimate: float
-    recovered_estimate: float | None
-    truth: float
-    server_view_truth: float
-    abs_error: float
-    outcome_j: int
-    ledger: dict
-    elapsed_s: float
-    transcript: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        d = {
-            "run_id": self.run_id,
-            "estimate": self.estimate,
-            "recovered_estimate": self.recovered_estimate,
-            "truth": self.truth,
-            "server_view_truth": self.server_view_truth,
-            "abs_error": self.abs_error,
-            "outcome_j": self.outcome_j,
-            "ledger": self.ledger,
-            "elapsed_s": self.elapsed_s,
-        }
-        if self.transcript:
-            d["transcript"] = self.transcript
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "include_transcript"}
+        d["mode"] = self.mode.value
         return d
 
 
@@ -209,7 +177,8 @@ def run_protocol(cfg: ExperimentConfig, x, ys, rng) -> ProtocolRun:
     return run_multiparty(x, ys, cfg.t, rng)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
+def run_experiment(cfg: ExperimentConfig) -> list[dict]:
+    """One JSON-ready record per trial."""
     check_cap(cfg.protocol, cfg.index_width, cfg.t, cfg.num_clients)
     x, ys = load_inputs(cfg)
     rule = RedundancyRule(cfg.redundancy_rule)
@@ -222,46 +191,40 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             run_x, y_wide, _ = redundant_encode(x, ys[0], cfg.redundancy_m, rule, rng)
             run_ys = [y_wide]
         run = run_protocol(cfg, run_x, run_ys, rng)
-        recovered, truth = run.recovered_estimate, run.truth
-        if cfg.redundancy_m > 1:
-            raw = recovered if recovered is not None else run.estimate
-            recovered = float(redundant_rescale(raw, cfg.redundancy_m, rule, int(np.sum(x)),
-                                                cfg.num_values))
-            truth = float(np.sum(x & ys[0])) / cfg.num_values
-        elapsed = time.perf_counter() - start
-        best = recovered if recovered is not None else run.estimate
-        records.append(
-            RunRecord(
-                run_id=trial,
-                estimate=run.estimate,
-                recovered_estimate=recovered,
-                truth=truth,
-                server_view_truth=run.server_view_truth,
-                abs_error=abs(best - truth),
-                outcome_j=run.result.j,
-                ledger=run.ledger.as_dict(),
-                elapsed_s=elapsed,
-                transcript=transcript_lines(run) if cfg.include_transcript else [],
-            )
-        )
+        if cfg.redundancy_m > 1:  # decode the widened instance back to the true mean
+            run.recovered_estimate = float(redundant_rescale(
+                run.best_estimate, cfg.redundancy_m, rule, int(np.sum(x)), cfg.num_values))
+            run.truth = float(np.sum(x & ys[0])) / cfg.num_values
+        record = {
+            "run_id": trial,
+            "estimate": run.estimate,
+            "recovered_estimate": run.recovered_estimate,
+            "truth": run.truth,
+            "server_view_truth": run.server_view_truth,
+            "abs_error": run.abs_error,
+            "outcome_j": run.result.j,
+            "ledger": run.ledger.as_dict(),
+            "elapsed_s": time.perf_counter() - start,
+        }
+        if cfg.include_transcript:
+            record["transcript"] = transcript_lines(run)
+        records.append(record)
     return records
 
 
-def records_to_json(cfg: ExperimentConfig, records: list[RunRecord]) -> str:
-    payload = {"config": cfg.as_dict(), "records": [r.as_dict() for r in records]}
+def records_to_json(cfg: ExperimentConfig, records: list[dict]) -> str:
+    payload = {"config": cfg.as_dict(), "records": records}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def records_to_csv(records: list[RunRecord]) -> str:
-    header = "run_id,estimate,recovered_estimate,truth,server_view_truth,abs_error,outcome_j"
-    lines = [header]
-    for r in records:
-        rec = "" if r.recovered_estimate is None else repr(r.recovered_estimate)
-        lines.append(
-            f"{r.run_id},{r.estimate!r},{rec},{r.truth!r},"
-            f"{r.server_view_truth!r},{r.abs_error!r},{r.outcome_j}"
-        )
-    return "\n".join(lines) + "\n"
+CSV_COLUMNS = ("run_id", "estimate", "recovered_estimate", "truth", "server_view_truth",
+               "abs_error", "outcome_j")
+
+
+def records_to_csv(records: list[dict]) -> str:
+    rows = [CSV_COLUMNS] + [["" if r[c] is None else repr(r[c]) for c in CSV_COLUMNS]
+                            for r in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 PRIVACY_HEADER = "N,d,t,d0,formula,mc,trials,z_score"
@@ -289,6 +252,10 @@ def privacy_table_recovery(grid) -> str:
     so the trials and z-score columns are zero)."""
     lines = [PRIVACY_HEADER]
     for num_values, d_x, count in grid:
-        printed, model = pr_exact_recovery(num_values, d_x, count)
+        try:
+            printed, model = pr_exact_recovery(num_values, d_x, count)
+        except OverflowError as exc:
+            raise GateError(f"--grid row {num_values},{d_x},{count}: the printed value "
+                            "is past the float range") from exc
         lines.append(f"{num_values},{d_x},,{count},{printed:.10f},{model:.10f},0,0.0000")
     return "\n".join(lines) + "\n"

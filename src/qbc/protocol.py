@@ -131,11 +131,13 @@ class ProtocolRun:
     distribution: np.ndarray | None = None
 
     @property
+    def best_estimate(self) -> float | None:
+        """The pad-corrected estimate where there is one, else the raw one."""
+        return self.estimate if self.recovered_estimate is None else self.recovered_estimate
+
+    @property
     def abs_error(self) -> float | None:
-        if self.estimate is None:
-            return None
-        best = self.recovered_estimate if self.recovered_estimate is not None else self.estimate
-        return abs(best - self.truth)
+        return None if self.estimate is None else abs(self.best_estimate - self.truth)
 
 
 def transcript_lines(run: ProtocolRun) -> list[str]:

@@ -236,6 +236,8 @@ def test_recovery_printed_form_exceeds_one():
     assert printed == 2.0
     assert model == 0.5
     assert model == pytest.approx(float(enumerate_recovery_probability([1, 1], 1)))
+    # a denominator too large for a float still gives the correctly rounded value
+    assert pr_exact_recovery(1030, 10, 3)[1] == 1 / (120 * 2**1020) > 0.0
 
 
 def test_recovery_validation():

@@ -68,12 +68,16 @@ def test_config_validation_matrix():
         dict(ok, protocol="blind-client", mode=CorrelationMode.XOR),
         dict(ok, protocol="multiparty", mode=CorrelationMode.XOR),
         dict(ok, protocol="multiparty", num_clients=1),
+        dict(ok, seed=-1),  # numpy's seed sequence would reject it in the first trial
+        dict(ok, mode="and"),  # a mode name, not a CorrelationMode
     ]
     for bad in cases:
         with pytest.raises((GateError, ValueError)):
             ExperimentConfig(**bad)
-    with pytest.raises(GateError, match="--redundancy-rule"):
-        ExperimentConfig(**dict(ok, redundancy_rule="bogus"))
+    for flag, bad in (("--redundancy-rule", dict(redundancy_rule="bogus")),
+                      ("--seed", dict(seed=-1)), ("--mode", dict(mode="and"))):
+        with pytest.raises(GateError, match=flag):
+            ExperimentConfig(**dict(ok, **bad))
 
 
 def test_config_widths_account_for_redundancy():
@@ -155,23 +159,23 @@ def test_run_experiment_deterministic_records():
                            trials=3, seed=11, random_inputs=True)
     first = run_experiment(cfg)
     second = run_experiment(cfg)
-    assert [r.outcome_j for r in first] == [r.outcome_j for r in second]
-    assert [r.estimate for r in first] == [r.estimate for r in second]
+    assert [r["outcome_j"] for r in first] == [r["outcome_j"] for r in second]
+    assert [r["estimate"] for r in first] == [r["estimate"] for r in second]
     for r in first:
-        assert r.abs_error == abs(r.estimate - r.truth)
-        assert r.recovered_estimate is None
-        assert r.ledger["grover_rounds"] == 15
-        assert r.transcript == []
+        assert r["abs_error"] == abs(r["estimate"] - r["truth"])
+        assert r["recovered_estimate"] is None
+        assert r["ledger"]["grover_rounds"] == 15
+        assert "transcript" not in r
 
 
 def test_run_experiment_transcript_toggle():
     cfg = ExperimentConfig(protocol="blind-server", num_values=4, t=2, seed=1,
                            random_inputs=True, include_transcript=True)
     rec = run_experiment(cfg)[0]
-    assert rec.transcript[0] == "round,from,to,qubits,oracle_calls"
-    assert len(rec.transcript) == 1 + 2 * 3
-    assert rec.recovered_estimate is not None
-    assert rec.abs_error == abs(rec.recovered_estimate - rec.truth)
+    assert rec["transcript"][0] == "round,from,to,qubits,oracle_calls"
+    assert len(rec["transcript"]) == 1 + 2 * 3
+    assert rec["recovered_estimate"] is not None
+    assert rec["abs_error"] == abs(rec["recovered_estimate"] - rec["truth"])
 
 
 def test_run_experiment_redundant_decode_exact(tmp_path):
@@ -183,10 +187,10 @@ def test_run_experiment_redundant_decode_exact(tmp_path):
     rec = run_experiment(cfg)[0]
     # the widened instance marks 2 of 4 cells: estimate 1/2 on the grid,
     # decoding doubles it back to the true mean 1
-    assert rec.estimate == pytest.approx(0.5, abs=1e-12)
-    assert rec.recovered_estimate == pytest.approx(1.0, abs=1e-12)
-    assert rec.truth == 1.0
-    assert rec.abs_error < 1e-12
+    assert rec["estimate"] == pytest.approx(0.5, abs=1e-12)
+    assert rec["recovered_estimate"] == pytest.approx(1.0, abs=1e-12)
+    assert rec["truth"] == 1.0
+    assert rec["abs_error"] < 1e-12
 
 
 def test_run_redundant_sampled_estimate_is_reported_as_is(capsys):
@@ -211,14 +215,14 @@ def test_records_serialization_round_trip():
     payload = json.loads(records_to_json(cfg, records))
     assert payload["config"]["protocol"] == "baseline"
     assert len(payload["records"]) == 2
-    assert payload["records"][0]["outcome_j"] == records[0].outcome_j
+    assert payload["records"][0]["outcome_j"] == records[0]["outcome_j"]
     csv = records_to_csv(records)
     lines = csv.strip().split("\n")
     assert lines[0] == "run_id,estimate,recovered_estimate,truth,server_view_truth,abs_error,outcome_j"
     row = lines[1].split(",")
     assert len(row) == 7
     assert row[2] == ""  # no recovered estimate on the baseline
-    assert float(row[1]) == records[0].estimate
+    assert float(row[1]) == records[0]["estimate"]
 
 
 def test_privacy_tables_shape():
@@ -229,9 +233,11 @@ def test_privacy_tables_shape():
     d0_2 = lines[3].split(",")
     assert float(d0_2[4]) == pytest.approx(1 / 6, abs=1e-9)
     assert abs(float(d0_2[7])) < 5.0
-    rec = privacy_table_recovery([(4, 2, 1), (2, 2, 1)]).strip().split("\n")
+    rec = privacy_table_recovery([(4, 2, 1), (2, 2, 1), (1030, 10, 3)]).strip().split("\n")
     assert rec[1] == "4,2,,1,0.5000000000,0.1250000000,0,0.0000"
     assert rec[2] == "2,2,,1,2.0000000000,0.5000000000,0,0.0000"
+    # the model denominator C(10, 3) * 2^1020 is too large to convert to a float
+    assert rec[3] == "1030,10,,3,0.0000000000,0.0000000000,0,0.0000"
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -370,6 +376,7 @@ def single_error_line(err: str) -> str:
     ["ledger-check", "--seed", "-1"],
     ["privacy", "--kind", "overlap", "--grid", "0,0,2"],
     ["privacy", "--kind", "recovery", "--grid", "0,0,0"],
+    ["privacy", "--kind", "recovery", "--grid", "2000,2000,1000"],  # C(2000, 1000) > float max
     ["attack", "--strategy", "plus-probe", "--t", "3", "--random-inputs", "--n", "-2"],
     ["run", "--t", "2", "--random-inputs", "--n", "0"],
     ["run", "--n", "4", "--random-inputs", "--t", "0"],
@@ -454,6 +461,11 @@ def over_cap_argvs():
         width = first_over_cap(lambda w: qubit_budget(variant, w, t))
         yield ["regression", "--variant", variant, "--n", str(values_for_width(width)),
                "--planes", "2", "--t", str(t), "--seeds", "1"]
+    # a valid first row does not hide an over-cap row behind it
+    yield ["privacy", "--kind", "overlap", "--trials", "1", "--grid", f"4,2,2;{probe_n},1,{t}"]
+    # the recovery row's 2^(N - d_x) is capped like an index register alone
+    yield ["privacy", "--kind", "recovery", "--grid",
+           f"4,2,1;{values_for_width(first_over_cap(lambda w: w))},0,0"]
     # the sweep's first row (N=2, t=1) is under the cap; the baseline row at t=max_t is not
     max_t = first_over_cap(lambda k: qubit_budget("baseline", 1, k))
     yield ["ledger-check", "--max-n", "2", "--max-t", str(max_t)]
@@ -487,6 +499,13 @@ def test_cli_rejects_non_utf8_input_file(tmp_path, capsys):
 
 # -- pinned output bytes ------------------------------------------------------------
 
+def stdout_digest(capsys) -> str:
+    """sha256 of the captured stdout with the elapsed_s lines removed."""
+    kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
+                   if "elapsed_s" not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
 # sha256 of `qbc run --protocol P --n N --t T --seed 3 --trials 2 --m 3
 # --random-inputs --transcript` stdout with the elapsed_s lines removed
 RUN_DIGESTS = {
@@ -506,9 +525,72 @@ def test_run_output_bytes_are_pinned(protocol, n, t, capsys):
     argv = ["run", "--protocol", protocol, "--n", str(n), "--t", str(t), "--seed", "3",
             "--trials", "2", "--m", "3", "--random-inputs", "--transcript"]
     assert main(argv) == 0
-    kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
-                   if "elapsed_s" not in line)
-    assert hashlib.sha256(kept.encode()).hexdigest() == RUN_DIGESTS[(protocol, n, t)]
+    assert stdout_digest(capsys) == RUN_DIGESTS[(protocol, n, t)]
+
+
+# sha256 of `qbc run` stdout with the elapsed_s lines removed, without
+# --transcript, as JSON and as CSV, under redundant encoding and the XOR
+# mode, and with input files (read from the test's working directory)
+RUN_VARIANT_DIGESTS = {
+    "run --protocol baseline --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs":
+        "05ecb58e5dd9d3424b2bc7d85e94f51bb65d53a09b8cf8b17f3b57894c4dda92",
+    "run --protocol baseline --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "a3ecde2fb4b35476acb6008f9de6b22715f6c7c21e1471af721390851627f149",
+    "run --protocol baseline --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs":
+        "82ae7807d3d7c1795cb3c2ad733eb8cdaf113a06e9a19083f51a971989472a67",
+    "run --protocol baseline --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "c979a27580be68e98a2890408f7238215b76053778ccbe90a599c7b71db42990",
+    "run --protocol blind-server --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs":
+        "78addfa5103b789aced7d74d01f8e660c19d7c1d310f1b06299c6693d2cb308c",
+    "run --protocol blind-server --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "df1cb56836df29a23c9a1fbe24ebda17fa8a49b85238242bc7cf4b1ab3105364",
+    "run --protocol blind-server --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs":
+        "c7e9806f1de63c5ef6e471d98bee911de582e1699b9ef8336bd46c9971f146e0",
+    "run --protocol blind-server --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "bb0a4d6d84b87a0358bf418862bee1326ddbf69b5cb37d939858acfb2a0a0439",
+    "run --protocol blind-client --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs":
+        "a4230f6a075ad92175cee987839926515c31d262eee5f4b5486944ff1af16d93",
+    "run --protocol blind-client --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "8f8d349e6ff37a48a3f56e8d713020c6e8366579232537e4f4f30f410a44c28a",
+    "run --protocol blind-client --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs":
+        "451652644255dd997d619b85d2232bf73368df9cf854e119e0013d010542a7cb",
+    "run --protocol blind-client --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "ad0eb0dc77c60ac5b1728b95d028e18aa0400bb3298e79cdd9b7678586dd8912",
+    "run --protocol multiparty --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs":
+        "052ce17e7090750670d39cf25bed0eaa7838343233ee2ed3f9a7d4bc05a5a110",
+    "run --protocol multiparty --n 4 --t 2 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "53605595d67e9fc194f475370a9597d9e2bdd159603efb9d888cdf8388465aa3",
+    "run --protocol multiparty --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs":
+        "a98ad6e86c098a02c63f11a1b594fec74a1adcdfd0fd23a40756ada4427cd42a",
+    "run --protocol multiparty --n 16 --t 4 --seed 3 --trials 2 --m 3 --random-inputs --format csv":
+        "9901b51cadb4c5da856f0ada303c9e66e8755d16ceff7303f674c537a0dcd645",
+    "run --protocol baseline --n 6 --t 4 --seed 5 --trials 3 --random-inputs --redundancy-m 3 --redundancy-rule hide-among-zeros":
+        "2641cfc7a1bd37c0214faae16ed315b295073d2613a92f01bcb0eb4453beea94",
+    "run --protocol baseline --n 6 --t 4 --seed 5 --trials 3 --random-inputs --redundancy-m 3 --redundancy-rule hide-among-ones":
+        "5ca5c933673cd5b734c4e01507c8621ec719b9bac067c835a44ac364f771bbc7",
+    "run --protocol blind-server --n 6 --t 4 --seed 5 --trials 3 --random-inputs --redundancy-m 3 --redundancy-rule hide-among-zeros":
+        "54356bf0f10c9a217f5be6d5b9ec8999ff5874586032fc588762b9265be3a29c",
+    "run --protocol blind-server --n 6 --t 4 --seed 5 --trials 3 --random-inputs --redundancy-m 3 --redundancy-rule hide-among-ones":
+        "4b6c958774bf0de96d7d9ab307b05a3b6e43f4e7e1262848501eff394e3954ea",
+    "run --protocol blind-server --n 6 --t 4 --seed 5 --trials 3 --random-inputs --redundancy-m 3 --redundancy-rule hide-among-ones --format csv":
+        "80f2f75060160cc301df846a10ee0c6c053c873ee1c43e204fb6dbf6912a5f9c",
+    "run --mode xor --n 16 --t 4 --seed 3 --trials 2 --random-inputs":
+        "f4dc2c18d75d2fa03ecec70763403a1b1ae3e57729d0026e1c61144f0a270804",
+    "run --mode xor --n 16 --t 4 --seed 3 --trials 2 --random-inputs --format csv":
+        "01588eb21d488706d5e74300d28172b93f07efa0b64045a434893e1593aea57c",
+    "run --protocol multiparty --n 6 --t 3 --seed 1 --trials 2 --x-file x.txt --y-file y.txt":
+        "1612aad92b7dcff2e6674862f287a172ad221d3d0c5e400078311430aac3aa77",
+}
+RUN_FILE_INPUTS = {"x.txt": "101101\n", "y.txt": "110100\n011011\n"}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_VARIANT_DIGESTS))
+def test_run_variant_output_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in RUN_FILE_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert main(command.split()) == 0
+    assert stdout_digest(capsys) == RUN_VARIANT_DIGESTS[command]
 
 
 # sha256 of each subcommand's stdout with the elapsed_s lines removed
@@ -539,6 +621,4 @@ SUBCOMMAND_DIGESTS = {
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_DIGESTS))
 def test_subcommand_output_bytes_are_pinned(command, capsys):
     assert main(command.split()) == 0
-    kept = "".join(line + "\n" for line in capsys.readouterr().out.splitlines()
-                   if "elapsed_s" not in line)
-    assert hashlib.sha256(kept.encode()).hexdigest() == SUBCOMMAND_DIGESTS[command]
+    assert stdout_digest(capsys) == SUBCOMMAND_DIGESTS[command]
