@@ -20,11 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracles import (
-    CorrelationMode, apply_correlation_gate, apply_data_oracle, as_bits, blind_server_pad,
-    padded_table,
-)
-from .protocol import index_width_for
+from .oracles import as_bits, blind_server_pad
+from .protocol import ProtocolSim, index_width_for
 from .statevector import (
     DensityMatrix,
     GateError,
@@ -82,26 +79,20 @@ def _row_blocks(trials: int, cols: int):
 # -- probe attack on the carrier qubit --------------------------------------
 
 
-def _probe_round_quantum(y_table, rng) -> tuple[int, int]:
-    """One live probe: uniform index + |+> carrier through the honest
-    counterpart block, on the padded table of y, then Z on the index and
-    X on the carrier."""
-    n = len(y_table).bit_length() - 1
-    index = list(range(n))
-    o1, o2 = n, n + 1
-    sv = StateVector(n + 2)
-    for q in index:
+def _probe_round_quantum(y, rng) -> tuple[int, int]:
+    """One live probe: a uniform index and a |+> carrier through the
+    honest client's block (the round trip of a baseline run whose x is
+    all zero), then Z on the index and X on the carrier."""
+    sim = ProtocolSim("baseline", np.zeros(len(y), dtype=np.uint8), [y])
+    sv = StateVector(len(sim.owners))
+    for q in sim.carried:
         sv.h(q)
-    sv.h(o1)
-    apply_data_oracle(sv, o2, y_table)
-    apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
-    apply_data_oracle(sv, o2, y_table)
+    sim.trip(sv)
     j = 0
-    for q in index:
+    for q in range(sim.n):
         j = (j << 1) | sv.measure(q, rng)
-    sv.h(o1)
-    bit = sv.measure(o1, rng)
-    return j, bit
+    sv.h(sim.o1)
+    return j, sv.measure(sim.o1, rng)
 
 
 def attack_plus_probe(
@@ -132,11 +123,10 @@ def attack_plus_probe(
     if rounds is None:
         rounds = (1 << t) - 1
     use_quantum = quantum if quantum is not None else rounds <= 64
-    y_table = padded_table(y, n) if use_quantum else None
     learned: dict[int, int] = {}
     for _ in range(rounds):
         if use_quantum:
-            j, bit = _probe_round_quantum(y_table, rng)
+            j, bit = _probe_round_quantum(y, rng)
         else:
             j = int(rng.integers(0, size))
             bit = int(y[j]) if j < len(y) else 0

@@ -39,6 +39,7 @@ from .experiment import (
     max_qubits,
     privacy_table_overlap,
     privacy_table_recovery,
+    read_input_file,
     records_to_csv,
     records_to_json,
     require_at_least,
@@ -46,7 +47,7 @@ from .experiment import (
     run_protocol,
 )
 from .ledger import VARIANTS, expected_ledger
-from .oracles import CorrelationMode, load_bitstrings, random_bits
+from .oracles import CorrelationMode, random_bits
 from .protocol import index_width_for
 from .statevector import GateError, InvariantViolation
 
@@ -185,10 +186,10 @@ def cmd_run(args) -> int:
 
 
 def _attack_y(args) -> np.ndarray:
-    if args.y_file:
-        return load_bitstrings(args.y_file, expect_width=args.n)[0]
-    if not args.random_inputs:
-        raise GateError("attacks need --y-file or --random-inputs")
+    if (args.y_file is not None) == args.random_inputs:
+        raise GateError("attacks need one of --y-file and --random-inputs, not both")
+    if args.y_file is not None:
+        return read_input_file("--y-file", args.y_file, 1, args.n)[0]
     return random_bits(args.n, derive_rng(args.seed, 0))
 
 

@@ -17,8 +17,9 @@ thus a diagonal d(i) on the index register for every readout branch at
 once, and d is sqrt(2**n) times the probe's work-0 column.
 
 Readout qubits act only as controls until the final Fourier transform,
-so they are added lazily. The readout branches are a (2**n, 2**pos)
-array M, one column per value of the readout bits joined so far.
+so they are added lazily. The readout branches are a (2**pos, 2**n)
+array M, one row per value of the readout bits joined so far, so the
+index axis is the contiguous one and numpy sums it pairwise.
 Readout qubit `pos` selects G**(2**(t-1-pos)) and joins as the new
 least significant bit when its block of iterates starts. The block runs
 on a copy B of M, each iterate as B <- d * B, then B <- 2 mean(B) - B
@@ -134,12 +135,12 @@ class _Probe(StateVector):
 
 
 def _powers(cfg: CountingConfig) -> np.ndarray:
-    """Amplitudes of sum_r |r> G**r |u> / sqrt(2**t) as an (index,
-    readout) array: one readout block at a time, each a copy of the
+    """Amplitudes of sum_r |r> G**r |u> / sqrt(2**t) as a (readout,
+    index) array: one readout block at a time, each a copy of the
     branches that takes its iterates once."""
     probe = _Probe(cfg)
     size, step = 1 << cfg.index_width, 1 << cfg.work_qubits  # amps[i * step]: index i, work clear
-    branches = np.full((size, 1), 1.0 / math.sqrt(size), dtype=complex)
+    branches = np.full((1, size), 1.0 / math.sqrt(size), dtype=complex)
     for pos in range(cfg.precision):
         block = branches.copy()
         for _ in range(1 << (cfg.precision - 1 - pos)):
@@ -151,9 +152,9 @@ def _powers(cfg: CountingConfig) -> np.ndarray:
                 raise InvariantViolation(
                     f"work qubits leaked {leak:.3e} probability after a Grover iterate"
                 )
-            block *= probe.amps[::step, None] * math.sqrt(size)
-            block = 2.0 * block.mean(axis=0) - block
-        branches = np.stack([branches, block], axis=-1).reshape(size, -1) / math.sqrt(2)
+            block *= probe.amps[::step] * math.sqrt(size)
+            block = 2.0 * block.mean(axis=1, keepdims=True) - block
+        branches = np.stack([branches, block], axis=1).reshape(-1, size) / math.sqrt(2)
     return branches
 
 
@@ -161,8 +162,8 @@ def counting_distribution(cfg: CountingConfig) -> np.ndarray:
     """Exact readout distribution of the counting circuit from the
     uniform index state: the inverse Fourier transform of the readout
     axis is an FFT."""
-    spectrum = np.fft.fft(_powers(cfg), axis=1)
-    return np.sum(np.abs(spectrum) ** 2, axis=0) / (1 << cfg.precision)
+    spectrum = np.fft.fft(_powers(cfg), axis=0)
+    return np.sum(np.abs(spectrum) ** 2, axis=1) / (1 << cfg.precision)
 
 
 def run_counting(cfg: CountingConfig, rng: np.random.Generator) -> EstimateResult:

@@ -147,24 +147,25 @@ class ExperimentConfig:
         return d
 
 
+def read_input_file(flag: str, path, count: int, width: int) -> list[np.ndarray]:
+    """The bit vectors of an input file, which must hold exactly the
+    `count` vectors of `width` bits that its command reads."""
+    rows = load_bitstrings(path, expect_width=width)
+    if len(rows) != count:
+        raise GateError(f"{flag} {path} holds {len(rows)} vectors; this command reads "
+                        f"exactly {count}")
+    return rows
+
+
 def load_inputs(cfg: ExperimentConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     """The x vector and the per-client y vectors for a config."""
+    count = cfg.num_clients if cfg.protocol == "multiparty" else 1
     if cfg.random_inputs:
         rng = derive_rng(cfg.seed, INPUT_STREAM)
         x = random_bits(cfg.num_values, rng)
-        count = cfg.num_clients if cfg.protocol == "multiparty" else 1
-        ys = [random_bits(cfg.num_values, rng) for _ in range(count)]
-        return x, ys
-    x = load_bitstrings(cfg.x_path, expect_width=cfg.num_values)[0]
-    ys = load_bitstrings(cfg.y_path, expect_width=cfg.num_values)
-    if cfg.protocol == "multiparty":
-        if len(ys) != cfg.num_clients:
-            raise GateError(
-                f"multiparty needs {cfg.num_clients} y vectors, file has {len(ys)}"
-            )
-    else:
-        ys = ys[:1]
-    return x, ys
+        return x, [random_bits(cfg.num_values, rng) for _ in range(count)]
+    (x,) = read_input_file("--x-file", cfg.x_path, 1, cfg.num_values)
+    return x, read_input_file("--y-file", cfg.y_path, count, cfg.num_values)
 
 
 def run_protocol(cfg: ExperimentConfig, x, ys, rng) -> ProtocolRun:

@@ -4,7 +4,9 @@ The closed forms under test (recovery probability, overlap distribution,
 occupancy) are checked against independent brute-force enumerations
 written below, not against the library's own formulas.
 """
+import hashlib
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -97,6 +99,45 @@ def test_probe_round_outcome_deterministic_given_index(y):
     for _ in range(40):
         j, bit = _probe_round_quantum(y, rng)
         assert bit == y[j]
+
+
+# sha256 of five live probes per (N, seed), each (j, bit), and the next
+# rng draw after them: the probe's outcomes and its use of the rng
+PROBE_DIGEST = "f3cb9af860bafaeb2670effe0760670ba350943c15ac8623e763ed3eae5ac81f"
+
+
+def test_live_probe_outcomes_and_rng_stream_are_pinned():
+    from qbc.adversary import _probe_round_quantum
+
+    rows = []
+    for num in (2, 3, 5, 8, 16, 33):
+        for seed in range(20):
+            rng = np.random.default_rng([num, seed])
+            y = random_bits(num, rng)
+            probes = [list(_probe_round_quantum(y, rng)) for _ in range(5)]
+            rows.append([num, seed, probes, int(rng.integers(1 << 62))])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PROBE_DIGEST
+
+
+def test_live_probe_runs_the_client_block_through_the_round_trip(monkeypatch):
+    # each live probe is one `ProtocolSim.trip` of a baseline run whose x
+    # is all zero, so it gets the trip's ownership checks and ledger
+    import qbc.protocol
+
+    sims = []
+    real = qbc.protocol.ProtocolSim.trip
+
+    def trip(self, state, pad=None, back=()):
+        sims.append(self)
+        return real(self, state, pad, back)
+
+    monkeypatch.setattr(qbc.protocol.ProtocolSim, "trip", trip)
+    attack_plus_probe([1, 0, 1, 1, 0], 2, np.random.default_rng(5), quantum=True)
+    assert len(sims) == 3
+    for sim in sims:
+        assert sim.variant == "baseline" and not sim.x_table.any()
+        assert sim.ledger.oracle_calls == {"Uy": 2}
+        assert sim.ledger.quantum_qubits_sent == 2 * (3 + 1)
 
 
 def test_probe_full_budget_recovers_everything_eventually():

@@ -1,6 +1,7 @@
-"""The CLI's error contract: any invalid integer flag, malformed --grid
-or bad QBC_MAX_QUBITS exits with code 2, prints nothing on stdout and
-exactly one stderr line containing `error:`, and never a traceback.
+"""The CLI's error contract: any invalid integer flag, malformed --grid,
+bad QBC_MAX_QUBITS or input file with the wrong number of vectors exits
+with code 2, prints nothing on stdout and exactly one stderr line
+containing `error:`, and never a traceback.
 
 Only invalid values are generated, so no example starts a simulation.
 """
@@ -9,6 +10,7 @@ import io
 import os
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +82,7 @@ def assert_rejected(argv):
     assert out == "", argv
     assert "Traceback" not in err, err
     assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    return err
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,3 +155,33 @@ def not_a_cap(raw: str) -> bool:
 def test_bad_qubit_cap_exits_2(raw, argv):
     with mock.patch.dict(os.environ, {"QBC_MAX_QUBITS": raw}):
         assert_rejected(argv)
+
+
+# (argv, the flag the error must name); the files hold 4-bit vectors,
+# `one` one line and `two` two, and every command reads exactly as many
+# vectors as it needs: one x, one y per client (`--m` for multiparty)
+FILE_COUNT_CASES = [
+    (["run", "--n", "4", "--t", "2", "--x-file", "two", "--y-file", "one"], "--x-file"),
+    (["run", "--n", "4", "--t", "2", "--x-file", "one", "--y-file", "two"], "--y-file"),
+    (["run", "--protocol", "blind-server", "--n", "4", "--t", "2",
+      "--x-file", "one", "--y-file", "two"], "--y-file"),
+    (["run", "--protocol", "blind-client", "--n", "4", "--t", "2",
+      "--x-file", "one", "--y-file", "two"], "--y-file"),
+    (["run", "--protocol", "multiparty", "--m", "3", "--n", "4", "--t", "2",
+      "--x-file", "one", "--y-file", "two"], "--y-file"),
+    (["attack", "--strategy", "plus-probe", "--n", "4", "--t", "2", "--y-file", "two"],
+     "--y-file"),
+    (["attack", "--strategy", "blind-server-worst", "--n", "4", "--t", "2", "--y-file", "two"],
+     "--y-file"),
+    (["attack", "--strategy", "plus-probe", "--n", "4", "--t", "2", "--y-file", "one",
+      "--random-inputs"], "--y-file"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", FILE_COUNT_CASES)
+def test_input_files_hold_exactly_the_vectors_read(tmp_path, argv, flag):
+    files = {"one": "1010\n", "two": "1010\n0110\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert flag in assert_rejected(argv)

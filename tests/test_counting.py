@@ -1,6 +1,7 @@
 """Phase estimation over the Grover iterate: exact distributions,
 mirror symmetry, determinism on eigenphase instances, work hygiene, and
-the lazy-readout layer against a dense controlled-circuit reference."""
+the lazy-readout layer against dense controlled-circuit references: one
+on phase tables, one on each protocol variant's own gates."""
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbc.counting
+import qbc.protocol
 from qbc.counting import (
     CountingConfig,
     counting_distribution,
@@ -17,8 +19,14 @@ from qbc.counting import (
     run_counting,
     work_leakage,
 )
-from qbc.oracles import apply_phase_pad, padded_table, random_bits
-from qbc.protocol import run_blind_server
+from qbc.oracles import CorrelationMode, apply_phase_pad, padded_table, random_bits
+from qbc.protocol import (
+    run_blind_client,
+    run_blind_server,
+    run_multiparty,
+    run_qbc_baseline,
+    transcript_lines,
+)
 from qbc.statevector import GateError, GateSpec, InvariantViolation, StateVector, apply_gate
 
 
@@ -237,6 +245,102 @@ def test_iterates_per_readout_bit_largest_power_first():
     reversed_blocks = tables[3::-1] + tables[5:3:-1] + tables[6:]
     for other in (smallest_first, reversed_blocks):
         assert tv_distance(dist, dense_counting_law(n, t, other)) > 1e-3
+
+
+class _ReadoutControlled(StateVector):
+    """A full index + work + readout state whose two gate kernels add the
+    current readout qubit, when one is set, to every gate's controls."""
+
+    control = None
+
+    def _with_control(self, controls) -> tuple:
+        return tuple(controls) + (() if self.control is None else (self.control,))
+
+    def apply_1q(self, u, target, controls=(), pred=None):
+        return super().apply_1q(u, target, self._with_control(controls), pred)
+
+    def _scale(self, factor, targets, controls, pred):
+        return super()._scale(factor, targets, self._with_control(controls), pred)
+
+
+def dense_protocol_law(cfg: CountingConfig) -> np.ndarray:
+    """The readout law of a run's own gates on the full circuit: index
+    qubits [0, n), the work qubits, then the readout. Each round is
+    `cfg.oracle` controlled by the readout qubit of its power, largest
+    power first, then the diffusion under the same control; the inverse
+    QFT gates prepare the readout. No probe, no reset of the work qubits
+    and no diagonal assumption."""
+    index = tuple(range(cfg.index_width))
+    readout = tuple(range(cfg.block_qubits, cfg.block_qubits + cfg.precision))
+    sv = _ReadoutControlled(cfg.block_qubits + cfg.precision)
+    for q in index + readout:
+        sv.h(q)
+    for pos, ctrl in enumerate(readout):
+        sv.control = ctrl
+        for _ in range(1 << (cfg.precision - 1 - pos)):
+            cfg.oracle(sv)
+            # 2|u><u| - I = H (2|0><0| - I) H: negate everything, then
+            # negate |0..0> back, as the |1..1> component between X layers
+            for q in index:
+                sv.h(q)
+            sv._scale(-1.0, (), (), None)
+            for q in index:
+                sv.x(q)
+            sv._scale(-1.0, index, (), None)
+            for q in index:
+                sv.x(q)
+                sv.h(q)
+    sv.control = None
+    apply_gate(sv, GateSpec("iqft", readout))
+    return sv.outcome_distribution(readout)
+
+
+# each set-up runs a variant on (x, ys, forced bits, t, rng); ys holds
+# three client vectors, and `forced` fixes a pad or basis draw
+PROTOCOL_SETUPS = {
+    "baseline-and": lambda x, ys, f, t, rng: run_qbc_baseline(
+        x, ys[0], t, return_distribution=True),
+    "baseline-xor": lambda x, ys, f, t, rng: run_qbc_baseline(
+        x, ys[0], t, CorrelationMode.XOR, return_distribution=True),
+    "blind-server": lambda x, ys, f, t, rng: run_blind_server(
+        x, ys[0], t, rng, return_distribution=True),
+    "blind-server-forced": lambda x, ys, f, t, rng: run_blind_server(
+        x, ys[0], t, rng, pad_bits=f & (1 - ys[0]), return_distribution=True),
+    "blind-server-per-round": lambda x, ys, f, t, rng: run_blind_server(
+        x, ys[0], t, rng, pad_per_round=True, return_distribution=True),
+    "blind-client": lambda x, ys, f, t, rng: run_blind_client(
+        x, ys[0], t, rng, return_distribution=True),
+    "blind-client-forced": lambda x, ys, f, t, rng: run_blind_client(
+        x, ys[0], t, rng, force_basis=f, force_pad=ys[1], return_distribution=True),
+    "multiparty-m3-padded": lambda x, ys, f, t, rng: run_multiparty(
+        x, ys, t, rng, return_distribution=True),
+    "multiparty-m3-forced": lambda x, ys, f, t, rng: run_multiparty(
+        x, ys, t, rng, pad_bits=f, return_distribution=True),
+    "multiparty-m2-unpadded": lambda x, ys, f, t, rng: run_multiparty(
+        x, ys[:2], t, rng, pad_first_client=False, return_distribution=True),
+}
+PROTOCOL_SIZES = [(num, t) for num in (2, 3, 5, 8) for t in (1, 2, 3, 4)] + [
+    (16, 3), (33, 2), (64, 3)]
+
+
+@pytest.mark.parametrize("setup", sorted(PROTOCOL_SETUPS))
+def test_every_variant_matches_its_gates_on_the_dense_circuit(monkeypatch, setup):
+    # the same run twice from one seed, once with the lazy readout and once
+    # on the dense circuit: equal laws, ledgers, transcripts and draws
+    for num, t in PROTOCOL_SIZES:
+        def run():
+            rng = np.random.default_rng([num, t])
+            x, f, *ys = (random_bits(num, rng) for _ in range(5))
+            return PROTOCOL_SETUPS[setup](x, ys, f, t, rng)
+
+        lazy = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(qbc.protocol, "counting_distribution", dense_protocol_law)
+            dense = run()
+        assert tv_distance(lazy.distribution, dense.distribution) <= 1e-12, (num, t)
+        assert lazy.ledger.as_dict() == dense.ledger.as_dict()
+        assert transcript_lines(lazy) == transcript_lines(dense)
+        assert repr(lazy.pads) == repr(dense.pads)
 
 
 @pytest.mark.parametrize("gate", [

@@ -133,21 +133,28 @@ def test_load_inputs_random_is_trial_independent():
 
 
 def test_load_inputs_from_files(tmp_path):
-    xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
+    # a file holds exactly the vectors its command reads: one x, and one
+    # y per client
+    xf, y1f, yf = tmp_path / "x.txt", tmp_path / "y1.txt", tmp_path / "y.txt"
     xf.write_text("1010\n")
+    y1f.write_text("1100\n")
     yf.write_text("1100\n0110\n")
     cfg = ExperimentConfig(protocol="baseline", num_values=4, t=2,
-                           x_path=str(xf), y_path=str(yf))
+                           x_path=str(xf), y_path=str(y1f))
     x, ys = load_inputs(cfg)
     assert x.tolist() == [1, 0, 1, 0]
     assert len(ys) == 1 and ys[0].tolist() == [1, 1, 0, 0]
+    extra = ExperimentConfig(protocol="baseline", num_values=4, t=2,
+                             x_path=str(xf), y_path=str(yf))
+    with pytest.raises(GateError, match="--y-file .* reads exactly 1"):
+        load_inputs(extra)
     multi = ExperimentConfig(protocol="multiparty", num_values=4, t=2,
                              num_clients=2, x_path=str(xf), y_path=str(yf))
     _, ys = load_inputs(multi)
     assert len(ys) == 2
     short = ExperimentConfig(protocol="multiparty", num_values=4, t=2,
                              num_clients=3, x_path=str(xf), y_path=str(yf))
-    with pytest.raises(GateError, match="3 y vectors"):
+    with pytest.raises(GateError, match="--y-file .* reads exactly 3"):
         load_inputs(short)
 
 

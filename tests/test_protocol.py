@@ -624,3 +624,20 @@ def test_every_variant_law_is_the_counting_law_of_its_joint_bits(variant, num, t
     if variant in ("baseline", "blind-server"):
         want.classical_bits_sent -= t  # an exact-law run measures nothing
     assert ledgers_equal(run.ledger, want)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "blind-server"])
+def test_large_index_law_keeps_its_digits(variant):
+    # the diffusion mean over 2**12 index branches must not lose digits
+    # to its summation order
+    num, t = 4096, 8
+    rng = np.random.default_rng(4096)
+    x, y = random_bits(num, rng), random_bits(num, rng)
+    if variant == "baseline":
+        run = run_qbc_baseline(x, y, t, return_distribution=True)
+        count = int(np.sum(x & y))
+    else:
+        run = run_blind_server(x, y, t, rng=rng, return_distribution=True)
+        count = int(np.sum(x & y)) + int(np.sum(run.pads["g"]))
+    law = phase_estimation_distribution(count, num, t)
+    assert tv_distance(run.distribution, law) <= 5e-14
