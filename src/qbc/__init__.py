@@ -6,6 +6,8 @@ assembled jointly, one channel round trip per application. Blinded
 variants hide each party's bits from the other; the adversary module
 quantifies what cheating strategies still learn.
 """
+from types import ModuleType as _ModuleType
+
 from .adversary import (
     AttackStrategy,
     PrivacyReport,
@@ -91,75 +93,8 @@ from .statevector import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackStrategy",
-    "BitPlaneDecomposition",
-    "CapExceeded",
-    "ChannelLedger",
-    "CorrelationMode",
-    "CountingConfig",
-    "DensityMatrix",
-    "EstimateResult",
-    "ExperimentConfig",
-    "GateError",
-    "InvariantViolation",
-    "OwnershipError",
-    "PrivacyReport",
-    "ProtocolRun",
-    "ProtocolSim",
-    "RedundancyRule",
-    "RedundantEncoding",
-    "RegressionResult",
-    "StateVector",
-    "TranscriptEntry",
-    "VARIANTS",
-    "apply_correlation_gate",
-    "apply_data_oracle",
-    "apply_phase_pad",
-    "as_bits",
-    "attack_biased_index",
-    "attack_blind_server_worst_case",
-    "attack_plus_probe",
-    "biased_index_state",
-    "bits_from_string",
-    "blind_client_carrier_state",
-    "blind_client_distinguishability",
-    "blind_server_pad",
-    "check_cap",
-    "client_name",
-    "counting_distribution",
-    "decompose_bitplanes",
-    "derive_rng",
-    "estimate_from_outcome",
-    "expected_ledger",
-    "holevo_quantity",
-    "index_width_for",
-    "load_bitstrings",
-    "max_qubits",
-    "occupancy_pmf",
-    "overlap_mc_pmf",
-    "overlap_pmf",
-    "parity_fraction",
-    "phase_estimation_distribution",
-    "pr_exact_recovery",
-    "pr_hamming_overlap",
-    "privacy_table_overlap",
-    "privacy_table_recovery",
-    "qubit_budget",
-    "random_bits",
-    "redundant_decode",
-    "redundant_encode",
-    "regression_demo",
-    "regression_error_bound",
-    "run_blind_client",
-    "run_blind_server",
-    "run_counting",
-    "run_experiment",
-    "run_multiparty",
-    "run_qbc_baseline",
-    "trace_distance",
-    "transcript_lines",
-    "uniformity_accept_probability",
-    "verify_index_uniformity",
-    "von_neumann_entropy",
-]
+# every name the imports above bind, less the submodules they load
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

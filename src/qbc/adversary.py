@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -52,15 +52,33 @@ class PrivacyReport:
     trials: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "guessed": self.guessed,
-            "hamming_to_truth": self.hamming_to_truth,
-            "known_positions": self.known_positions,
-            "distance_pmf": {str(k): v for k, v in sorted(self.distance_pmf.items())},
-            "mc_pmf": {str(k): v for k, v in sorted(self.mc_pmf.items())},
-            "trials": self.trials,
-        }
+        out = asdict(self)
+        for key in ("distance_pmf", "mc_pmf"):
+            out[key] = {str(k): v for k, v in sorted(out[key].items())}
+        return out
+
+
+def _nonzero(pmf) -> dict[int, float]:
+    return {d: float(p) for d, p in enumerate(pmf) if p > 0}
+
+
+def _report(strategy: AttackStrategy, y, guesses: dict[int, int], pmf, trials: int,
+            fill_rng: np.random.Generator | None = None) -> PrivacyReport:
+    """The report of a guess map {index: bit} against y: an index it
+    leaves out reads '?', or, given fill_rng, a fair coin drawn in index
+    order; the Hamming distance counts guessed indices only."""
+    known = len(guesses)
+    if fill_rng is not None:
+        guesses = {i: guesses[i] if i in guesses else int(fill_rng.integers(0, 2))
+                   for i in range(len(y))}
+    return PrivacyReport(
+        strategy=strategy.value,
+        guessed="".join(str(guesses[i]) if i in guesses else "?" for i in range(len(y))),
+        hamming_to_truth=sum(int(bit != y[i]) for i, bit in guesses.items()),
+        known_positions=known,
+        distance_pmf=_nonzero(pmf),
+        trials=trials,
+    )
 
 
 MC_BLOCK_VALUES = 1 << 16  # a block and its temporaries trace about 2 MB at N = 128
@@ -132,26 +150,8 @@ def attack_plus_probe(
             bit = int(y[j]) if j < len(y) else 0
         if j < len(y):
             learned[j] = bit
-    guess_chars = []
-    hamming = 0
-    for i in range(len(y)):
-        if i in learned:
-            guess_chars.append(str(learned[i]))
-            hamming += int(learned[i] != y[i])
-        elif fill_unknown:
-            b = int(rng.integers(0, 2))
-            guess_chars.append(str(b))
-            hamming += int(b != y[i])
-        else:
-            guess_chars.append("?")
-    report = PrivacyReport(
-        strategy=AttackStrategy.PLUS_PROBE.value,
-        guessed="".join(guess_chars),
-        hamming_to_truth=hamming,
-        known_positions=len(learned),
-        distance_pmf={d: p for d, p in enumerate(_hits_pmf(rounds, len(y), size)) if p > 0},
-        trials=trials,
-    )
+    report = _report(AttackStrategy.PLUS_PROBE, y, learned, _hits_pmf(rounds, len(y), size),
+                     trials, rng if fill_unknown else None)
     if trials > 0:
         num = len(y)
         hist = np.zeros(num + 1, dtype=np.int64)
@@ -161,7 +161,7 @@ def attack_plus_probe(
             real_last = (draws[:, -1:] < num).sum(axis=1)
             counts = (np.diff(draws, axis=1) != 0).sum(axis=1) + real_last
             hist += np.bincount(counts, minlength=num + 1)
-        report.mc_pmf = {d: float(p) for d, p in enumerate(hist / trials) if p > 0}
+        report.mc_pmf = _nonzero(hist / trials)
     return report
 
 
@@ -394,28 +394,15 @@ def attack_blind_server_worst_case(
     y = as_bits(y)
     num = len(y)
     d_y = int(np.sum(y))
-    k = min((1 << t) - 1, d_y)
     if trials < 0:
         raise GateError(f"trials must be non-negative, got {trials}")
     pads = blind_server_pad(y, rng)
     sampled = rng.choice(num, size=min((1 << t) - 1, num), replace=False)
-    guess_chars = ["?"] * num
-    for j in sampled:
-        bit = int(y[j] ^ pads[j])
-        guess_chars[j] = "0" if bit == 0 else "?"
-    known = sum(c != "?" for c in guess_chars)
-    hamming = sum(1 for i, c in enumerate(guess_chars) if c != "?" and int(c) != y[i])
-    report = PrivacyReport(
-        strategy=AttackStrategy.BLIND_SERVER_WORST.value,
-        guessed="".join(guess_chars),
-        hamming_to_truth=hamming,
-        known_positions=known,
-        distance_pmf={d: float(p) for d, p in enumerate(overlap_pmf(num, d_y, t)) if p > 0},
-        trials=trials,
-    )
+    guesses = {int(j): 0 for j in sampled if y[j] == pads[j]}  # the phase bits that read 0
+    report = _report(AttackStrategy.BLIND_SERVER_WORST, y, guesses, overlap_pmf(num, d_y, t),
+                     trials)
     if trials > 0:
-        mc = overlap_mc_pmf(num, d_y, t, rng, trials)
-        report.mc_pmf = {d: float(p) for d, p in enumerate(mc) if p > 0}
+        report.mc_pmf = _nonzero(overlap_mc_pmf(num, d_y, t, rng, trials))
     return report
 
 

@@ -18,6 +18,8 @@ from .oracles import CorrelationMode, as_bits
 from .protocol import run_blind_client, run_qbc_baseline
 from .statevector import GateError
 
+REGRESSION_VARIANTS = ("baseline", "blind-client")
+
 
 @dataclass(frozen=True)
 class BitPlaneDecomposition:
@@ -95,8 +97,8 @@ def regression_demo(
         raise GateError("x column and y must be equal-length vectors")
     if not np.all((x_column >= 0) & (x_column <= 1)):  # nan fails both
         raise GateError("column entries must be finite and lie in [0, 1]")
-    if variant not in ("baseline", "blind-client"):
-        raise GateError("regression supports the baseline and blind-client variants")
+    if variant not in REGRESSION_VARIANTS:
+        raise GateError(f"regression supports the variants {REGRESSION_VARIANTS}")
     if u is None:
         u = 0 if np.any(x_column >= 1.0) else -1
     decomps = [decompose_bitplanes(v, u, num_planes) for v in x_column]

@@ -24,12 +24,13 @@ import numpy as np
 
 from .adversary import (
     AttackStrategy,
+    RedundancyRule,
     attack_biased_index,
     attack_blind_server_worst_case,
     attack_plus_probe,
     blind_client_distinguishability,
 )
-from .bitplane import regression_demo, regression_error_bound
+from .bitplane import REGRESSION_VARIANTS, regression_demo, regression_error_bound
 from .experiment import (
     CapExceeded,
     ExperimentConfig,
@@ -103,22 +104,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbc",
         description="Distributed inner-product estimation on a statevector simulator.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", help="write output here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one protocol variant")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
+    run_p = command("run", cmd_run, "execute one protocol variant")
     run_p.add_argument("--protocol", choices=VARIANTS, default="baseline")
     run_p.add_argument("--n", type=int, required=True, dest="num_values", metavar="N",
                        help="number of data values N")
     run_p.add_argument("--t", type=int, required=True, help="readout precision qubits")
     run_p.add_argument("--trials", type=int, default=1)
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--mode", choices=[m.value for m in CorrelationMode], default="and")
+    run_p.add_argument("--mode", choices=[m.value for m in CorrelationMode],
+                       default=CorrelationMode.AND.value)
     run_p.add_argument("--m", type=int, default=2, dest="num_clients", metavar="M",
                        help="clients in the multiparty cascade")
     run_p.add_argument("--redundancy-m", type=int, default=1,
                        help="slots per index for redundant support hiding")
-    run_p.add_argument("--redundancy-rule", default="hide-among-zeros",
-                       choices=["hide-among-zeros", "hide-among-ones"])
+    run_p.add_argument("--redundancy-rule", choices=[r.value for r in RedundancyRule],
+                       default=RedundancyRule.HIDE_AMONG_ZEROS.value)
     run_p.add_argument("--x-file", dest="x_path", metavar="X_FILE",
                        help="file of 0/1 characters, one vector per line")
     run_p.add_argument("--y-file", dest="y_path", metavar="Y_FILE",
@@ -126,15 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--random-inputs", action="store_true")
     run_p.add_argument("--transcript", action="store_true", dest="include_transcript",
                        help="include the per-round channel transcript")
-    run_p.add_argument("--out", help="write output here instead of stdout")
     run_p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    atk_p = sub.add_parser("attack", help="run an adversary strategy")
+    atk_p = command("attack", cmd_attack, "run an adversary strategy")
     atk_p.add_argument("--strategy", required=True,
                        choices=[s.value for s in AttackStrategy])
     atk_p.add_argument("--n", type=int, required=True)
     atk_p.add_argument("--t", type=int, required=True)
-    atk_p.add_argument("--seed", type=int, default=0)
     atk_p.add_argument("--trials", type=int, default=0,
                        help="Monte Carlo executions for the summary distribution")
     atk_p.add_argument("--y-file")
@@ -143,34 +150,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="biased-index: the over-weighted basis state")
     atk_p.add_argument("--focus-prob", type=float, default=0.9,
                        help="biased-index: probability mass on the focus state")
-    atk_p.add_argument("--out")
 
-    priv_p = sub.add_parser("privacy", help="probability tables, formula vs Monte Carlo")
+    priv_p = command("privacy", cmd_privacy, "probability tables, formula vs Monte Carlo")
     priv_p.add_argument("--kind", choices=["recovery", "overlap"], required=True)
     priv_p.add_argument("--grid",
                         help="semicolon-separated rows: N,d_x,count (recovery) "
                              "or N,d_y,t (overlap)")
     priv_p.add_argument("--trials", type=int, default=100_000)
-    priv_p.add_argument("--seed", type=int, default=0)
-    priv_p.add_argument("--out")
 
-    reg_p = sub.add_parser("regression", help="bit-plane inner product demo")
+    reg_p = command("regression", cmd_regression, "bit-plane inner product demo")
     reg_p.add_argument("--n", type=int, required=True, help="column length N")
     reg_p.add_argument("--planes", type=int, required=True, help="bit-planes K")
     reg_p.add_argument("--t", type=int, required=True)
     reg_p.add_argument("--seeds", type=int, default=20, help="independent repetitions")
-    reg_p.add_argument("--seed", type=int, default=0)
-    reg_p.add_argument("--variant", choices=["baseline", "blind-client"],
-                       default="baseline")
-    reg_p.add_argument("--out")
+    reg_p.add_argument("--variant", choices=REGRESSION_VARIANTS, default=REGRESSION_VARIANTS[0])
 
-    led_p = sub.add_parser("ledger-check",
-                           help="measured channel usage vs the closed forms")
+    led_p = command("ledger-check", cmd_ledger_check, "measured channel usage vs the closed forms")
     led_p.add_argument("--max-n", type=int, default=4, help="largest N in the sweep")
     led_p.add_argument("--max-t", type=int, default=2, help="largest t in the sweep")
     led_p.add_argument("--m", type=int, default=3, help="multiparty client count")
-    led_p.add_argument("--seed", type=int, default=0)
-    led_p.add_argument("--out")
     return parser
 
 
@@ -199,6 +197,9 @@ def cmd_attack(args) -> int:
     strategy = AttackStrategy(args.strategy)
     rng = derive_rng(args.seed, 1)
     if strategy is AttackStrategy.BIASED_INDEX:
+        if args.y_file is not None or args.random_inputs:
+            flag = "--y-file" if args.y_file is not None else "--random-inputs"
+            raise GateError(f"{flag} does not apply: --strategy biased-index reads no y")
         width = index_width_for(args.n)
         if not 0 <= args.focus < 1 << width:
             raise GateError(f"--focus must lie in [0, {1 << width}), got {args.focus}")
@@ -303,18 +304,17 @@ def cmd_ledger_check(args) -> int:
                 x = random_bits(num, rng)
                 ys = [random_bits(num, rng) for _ in range(clients)]
                 run = run_protocol(cfg, x, ys, derive_rng(args.seed, 4))
-                want = expected_ledger(variant, n, t, num_clients=clients)
-                got = run.ledger
-                match = got.as_dict() == want.as_dict()
-                ok = ok and match
+                want = expected_ledger(variant, n, t, num_clients=clients).as_dict()
+                got = run.ledger.as_dict()
+                ok = ok and got == want
                 rows.append(
                     {
                         "variant": variant,
                         "n_values": num,
                         "t": t,
-                        "expected": want.as_dict(),
-                        "measured": got.as_dict(),
-                        "match": match,
+                        "expected": want,
+                        "measured": got,
+                        "match": got == want,
                     }
                 )
     payload = {"all_match": ok, "max_qubits": max_qubits(), "rows": rows}
@@ -325,17 +325,10 @@ def cmd_ledger_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "run": cmd_run,
-        "attack": cmd_attack,
-        "privacy": cmd_privacy,
-        "regression": cmd_regression,
-        "ledger-check": cmd_ledger_check,
-    }
     try:
         args = build_parser().parse_args(argv)
         require_at_least("--seed", args.seed, 0)  # every subcommand has one
-        return handlers[args.command](args)
+        return args.handler(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

@@ -150,7 +150,12 @@ class ExperimentConfig:
 def read_input_file(flag: str, path, count: int, width: int) -> list[np.ndarray]:
     """The bit vectors of an input file, which must hold exactly the
     `count` vectors of `width` bits that its command reads."""
-    rows = load_bitstrings(path, expect_width=width)
+    try:
+        rows = load_bitstrings(path, expect_width=width)
+    except OSError as exc:
+        raise GateError(f"{flag} {path}: {exc.strerror or exc}") from None
+    except GateError as exc:  # load_bitstrings names the path
+        raise GateError(f"{flag} {exc}") from None
     if len(rows) != count:
         raise GateError(f"{flag} {path} holds {len(rows)} vectors; this command reads "
                         f"exactly {count}")
@@ -236,7 +241,10 @@ def privacy_table_overlap(grid, rng, trials: int = 100_000) -> str:
     (N, d_y, t). One MC batch per row serves every d_0."""
     lines = [PRIVACY_HEADER]
     for num_values, d_y, t in grid:
-        formula = overlap_pmf(num_values, d_y, t)
+        try:
+            formula = overlap_pmf(num_values, d_y, t)
+        except GateError as exc:
+            raise GateError(f"--grid row '{num_values},{d_y},{t}': {exc}") from None
         mc = overlap_mc_pmf(num_values, d_y, t, rng, trials)
         for d0 in range(d_y + 1):
             sigma = math.sqrt(max(formula[d0] * (1 - formula[d0]), 0.0) / trials)
@@ -253,10 +261,12 @@ def privacy_table_recovery(grid) -> str:
     so the trials and z-score columns are zero)."""
     lines = [PRIVACY_HEADER]
     for num_values, d_x, count in grid:
+        row = f"--grid row '{num_values},{d_x},{count}'"
         try:
             printed, model = pr_exact_recovery(num_values, d_x, count)
+        except GateError as exc:
+            raise GateError(f"{row}: {exc}") from None
         except OverflowError as exc:
-            raise GateError(f"--grid row {num_values},{d_x},{count}: the printed value "
-                            "is past the float range") from exc
+            raise GateError(f"{row}: the printed value is past the float range") from exc
         lines.append(f"{num_values},{d_x},,{count},{printed:.10f},{model:.10f},0,0.0000")
     return "\n".join(lines) + "\n"

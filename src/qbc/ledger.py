@@ -9,7 +9,7 @@ n+1 qubits per hop (n index qubits plus the carrier work qubit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -28,12 +28,9 @@ class ChannelLedger:
         return sum(self.oracle_calls.get(n, 0) for n in names)
 
     def as_dict(self) -> dict:
-        return {
-            "quantum_qubits_sent": self.quantum_qubits_sent,
-            "classical_bits_sent": self.classical_bits_sent,
-            "oracle_calls": dict(sorted(self.oracle_calls.items())),
-            "grover_rounds": self.grover_rounds,
-        }
+        out = asdict(self)
+        out["oracle_calls"] = dict(sorted(self.oracle_calls.items()))
+        return out
 
 
 VARIANTS = ("baseline", "blind-server", "blind-client", "multiparty")

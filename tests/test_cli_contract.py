@@ -1,6 +1,6 @@
 """The CLI's error contract: any invalid integer flag, malformed --grid,
-bad QBC_MAX_QUBITS or input file with the wrong number of vectors exits
-with code 2, prints nothing on stdout and exactly one stderr line
+bad QBC_MAX_QUBITS or input file that is unreadable or holds the wrong
+vectors exits with code 2, prints nothing on stdout and exactly one stderr line
 containing `error:`, and never a traceback.
 
 Only invalid values are generated, so no example starts a simulation.
@@ -159,7 +159,9 @@ def test_bad_qubit_cap_exits_2(raw, argv):
 
 # (argv, the flag the error must name); the files hold 4-bit vectors,
 # `one` one line and `two` two, and every command reads exactly as many
-# vectors as it needs: one x, one y per client (`--m` for multiparty)
+# vectors as it needs: one x, one y per client (`--m` for multiparty);
+# `five` holds a 5-bit vector, `bad` a non-0/1 character, `empty`
+# nothing, `binary` bytes that are not UTF-8, and `missing` is no file
 FILE_COUNT_CASES = [
     (["run", "--n", "4", "--t", "2", "--x-file", "two", "--y-file", "one"], "--x-file"),
     (["run", "--n", "4", "--t", "2", "--x-file", "one", "--y-file", "two"], "--y-file"),
@@ -175,13 +177,22 @@ FILE_COUNT_CASES = [
      "--y-file"),
     (["attack", "--strategy", "plus-probe", "--n", "4", "--t", "2", "--y-file", "one",
       "--random-inputs"], "--y-file"),
+    *[(["run", "--n", "4", "--t", "2", "--x-file", name, "--y-file", "one"], "--x-file")
+      for name in ("five", "bad", "empty", "binary", "missing")],
+    (["run", "--n", "4", "--t", "2", "--x-file", "one", "--y-file", "five"], "--y-file"),
+    (["attack", "--strategy", "plus-probe", "--n", "4", "--t", "2", "--y-file", "missing"],
+     "--y-file"),
 ]
 
 
 @pytest.mark.parametrize("argv,flag", FILE_COUNT_CASES)
 def test_input_files_hold_exactly_the_vectors_read(tmp_path, argv, flag):
-    files = {"one": "1010\n", "two": "1010\n0110\n"}
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert flag in assert_rejected(argv)
+    files = {"one": b"1010\n", "two": b"1010\n0110\n", "five": b"10101\n", "bad": b"10a0\n",
+             "empty": b"", "binary": b"\xff\xfe\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files or a == "missing" else a for a in argv]
+    err = assert_rejected(argv)
+    assert flag in err
+    if "--random-inputs" not in argv:  # the file was read: the error names flag and path
+        assert f"error: {flag} {argv[argv.index(flag) + 1]}" in err, err

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def cli(*argv, env_extra=None):
 
 def scrub_timing(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "elapsed_s" not in line)
+
+
+# -- the package surface ----------------------------------------------------------
+
+
+def test_star_import_binds_exactly_all():
+    import qbc
+
+    namespace = {}
+    exec("from qbc import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(qbc.__all__)
+    assert qbc.__all__ == sorted(qbc.__all__)
+    assert not [name for name in qbc.__all__
+                if name.startswith("_") or isinstance(getattr(qbc, name), types.ModuleType)]
 
 
 # -- config and seeds -------------------------------------------------------------
@@ -392,6 +408,8 @@ def single_error_line(err: str) -> str:
     ["regression", "--planes", "3", "--t", "3", "--seeds", "1", "--n", "0"],
     ["attack", "--strategy", "biased-index", "--n", "8", "--t", "2", "--focus", "99"],
     ["attack", "--strategy", "biased-index", "--n", "8", "--t", "2", "--focus-prob", "2"],
+    ["privacy", "--kind", "recovery", "--grid", "4,5,1"],  # d_x > N
+    ["privacy", "--kind", "overlap", "--grid", "4,5,2"],  # d_y > N
 ])
 def test_cli_rejects_bad_counts(argv, capsys):
     assert main(argv) == 2
@@ -424,6 +442,11 @@ RUN_SMALL = ["run", "--n", "4", "--t", "2"]
     (RUN_SMALL + ["--y-file", "a"], ("--x-file", "--y-file")),
     *[(RUN_SMALL + ["--random-inputs", "--mode", "xor", "--protocol", variant], ("--mode",))
       for variant in ("blind-server", "blind-client", "multiparty")],
+    # biased-index reads no y, so a y source is refused, not ignored
+    (["attack", "--strategy", "biased-index", "--n", "8", "--t", "3", "--y-file", "two.txt",
+      "--random-inputs", "--trials", "10"], ("--y-file",)),
+    (["attack", "--strategy", "biased-index", "--n", "8", "--t", "3", "--random-inputs"],
+     ("--random-inputs",)),
 ])
 def test_cli_flag_combinations_name_their_flags(argv, flags, capsys):
     assert main(argv) == 2
