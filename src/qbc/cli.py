@@ -16,7 +16,6 @@ are byte-identical up to the elapsed_s timing fields.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -34,6 +33,7 @@ from .bitplane import REGRESSION_VARIANTS, regression_demo, regression_error_bou
 from .experiment import (
     CapExceeded,
     ExperimentConfig,
+    _json,
     check_cap,
     check_index_cap,
     derive_rng,
@@ -45,7 +45,6 @@ from .experiment import (
     records_to_json,
     require_at_least,
     run_experiment,
-    run_protocol,
 )
 from .ledger import VARIANTS, expected_ledger
 from .oracles import CorrelationMode, random_bits
@@ -65,13 +64,12 @@ EXIT_CODES = {CapExceeded: 3, InvariantViolation: 4, GateError: 2, OSError: 2}
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except OSError as exc:
+        raise GateError(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def _parse_grid(raw: str) -> list[tuple[int, int, int]]:
@@ -146,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo executions for the summary distribution")
     atk_p.add_argument("--y-file")
     atk_p.add_argument("--random-inputs", action="store_true")
-    atk_p.add_argument("--focus", type=int, default=0,
-                       help="biased-index: the over-weighted basis state")
-    atk_p.add_argument("--focus-prob", type=float, default=0.9,
-                       help="biased-index: probability mass on the focus state")
+    atk_p.add_argument("--focus", type=int,
+                       help="biased-index: the over-weighted basis state (default 0)")
+    atk_p.add_argument("--focus-prob", type=float,
+                       help="biased-index: probability mass on the focus state (default 0.9)")
 
     priv_p = command("privacy", cmd_privacy, "probability tables, formula vs Monte Carlo")
     priv_p.add_argument("--kind", choices=["recovery", "overlap"], required=True)
@@ -172,15 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     if args.include_transcript and args.format == "csv":
         raise GateError("--transcript needs --format json; the csv table has no transcript")
     settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig(**dict(settings, mode=CorrelationMode(args.mode)))
     records = run_experiment(cfg)
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(cfg, records)
-    _emit(text, args.out)
-    return 0
+    return records_to_csv(records) if args.format == "csv" else records_to_json(cfg, records)
 
 
 def _attack_y(args) -> np.ndarray:
@@ -191,25 +187,32 @@ def _attack_y(args) -> np.ndarray:
     return random_bits(args.n, derive_rng(args.seed, 0))
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> str:
     require_at_least("--n", args.n, 1)
+    require_at_least("--t", args.t, 1)
     require_at_least("--trials", args.trials, 0)
     strategy = AttackStrategy(args.strategy)
+    biased = strategy is AttackStrategy.BIASED_INDEX
+    # biased-index reads a focus and no y; the other strategies read a y and no focus
+    unread = ({"--y-file": args.y_file is not None, "--random-inputs": args.random_inputs}
+              if biased else
+              {"--focus": args.focus is not None, "--focus-prob": args.focus_prob is not None})
+    given = [flag for flag, is_set in unread.items() if is_set]
+    if given:
+        raise GateError(f"{given[0]} does not apply to --strategy {strategy.value}")
     rng = derive_rng(args.seed, 1)
-    if strategy is AttackStrategy.BIASED_INDEX:
-        if args.y_file is not None or args.random_inputs:
-            flag = "--y-file" if args.y_file is not None else "--random-inputs"
-            raise GateError(f"{flag} does not apply: --strategy biased-index reads no y")
+    if biased:
+        focus = 0 if args.focus is None else args.focus
+        focus_prob = 0.9 if args.focus_prob is None else args.focus_prob
         width = index_width_for(args.n)
-        if not 0 <= args.focus < 1 << width:
-            raise GateError(f"--focus must lie in [0, {1 << width}), got {args.focus}")
-        if not 0.0 <= args.focus_prob <= 1.0:
-            raise GateError(f"--focus-prob must lie in [0, 1], got {args.focus_prob}")
+        if not 0 <= focus < 1 << width:
+            raise GateError(f"--focus must lie in [0, {1 << width}), got {focus}")
+        if not 0.0 <= focus_prob <= 1.0:
+            raise GateError(f"--focus-prob must lie in [0, 1], got {focus_prob}")
         check_index_cap(width)
         trials = args.trials if args.trials > 0 else 1000
-        payload = attack_biased_index(width, args.focus, args.focus_prob, rng, trials)
+        payload = attack_biased_index(width, focus, focus_prob, rng, trials)
     else:
-        require_at_least("--t", args.t, 1)
         y = _attack_y(args)
         check_cap("baseline", index_width_for(args.n), args.t)
         if strategy is AttackStrategy.PLUS_PROBE:
@@ -218,29 +221,26 @@ def cmd_attack(args) -> int:
             payload = attack_blind_server_worst_case(y, args.t, rng, args.trials).as_dict()
         payload["truth"] = "".join(str(int(b)) for b in y)
     payload["carrier_distinguishability"] = blind_client_distinguishability()
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload)
 
 
-def cmd_privacy(args) -> int:
+def cmd_privacy(args) -> str:
     require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
         grid = _parse_grid(args.grid) if args.grid is not None else RECOVERY_GRID
         for num, _, _ in grid:  # 2^(N - d_x) takes up to N bits, as N index cells do
             check_index_cap(index_width_for(num))
-        table = privacy_table_recovery(grid)
+        return privacy_table_recovery(grid)
     else:
         grid = _parse_grid(args.grid) if args.grid is not None else OVERLAP_GRID
         for _, _, t in grid:
             require_at_least("--grid t", t, 1)
         for num, _, t in grid:  # each Monte Carlo trial draws N scores, one per index
             check_cap("baseline", index_width_for(num), t)
-        table = privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
-    _emit(table, args.out)
-    return 0
+        return privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
 
 
-def cmd_regression(args) -> int:
+def cmd_regression(args) -> str:
     require_at_least("--n", args.n, 1)
     require_at_least("--seeds", args.seeds, 1)
     require_at_least("--t", args.t, 1)
@@ -267,7 +267,7 @@ def cmd_regression(args) -> int:
                 "executions": res.num_executions,
             }
         )
-    payload = {
+    return _json({
         "variant": args.variant,
         "n": args.n,
         "planes": args.planes,
@@ -275,38 +275,27 @@ def cmd_regression(args) -> int:
         "error_bound": regression_error_bound(args.n, args.planes, args.t),
         "fraction_within_bound": hits / args.seeds,
         "rows": rows,
-    }
-    _emit(_json(payload), args.out)
-    return 0
+    })
 
 
-def cmd_ledger_check(args) -> int:
+def cmd_ledger_check(args) -> str:
     require_at_least("--max-n", args.max_n, 2)
     require_at_least("--max-t", args.max_t, 1)
     require_at_least("--m", args.m, 2)
-    rng = derive_rng(args.seed, 3)
     rows = []
-    ok = True
     for variant in VARIANTS:
         for num in range(2, args.max_n + 1):
             for t in range(1, args.max_t + 1):
-                n = index_width_for(num)
-                clients = args.m if variant == "multiparty" else 1
-                check_cap(variant, n, t, clients)
                 cfg = ExperimentConfig(
                     protocol=variant,
                     num_values=num,
                     t=t,
                     seed=args.seed,
-                    num_clients=clients,
+                    num_clients=args.m,
                     random_inputs=True,
                 )
-                x = random_bits(num, rng)
-                ys = [random_bits(num, rng) for _ in range(clients)]
-                run = run_protocol(cfg, x, ys, derive_rng(args.seed, 4))
-                want = expected_ledger(variant, n, t, num_clients=clients).as_dict()
-                got = run.ledger.as_dict()
-                ok = ok and got == want
+                got = run_experiment(cfg)[0]["ledger"]
+                want = expected_ledger(variant, cfg.index_width, t, num_clients=args.m).as_dict()
                 rows.append(
                     {
                         "variant": variant,
@@ -317,18 +306,20 @@ def cmd_ledger_check(args) -> int:
                         "match": got == want,
                     }
                 )
-    payload = {"all_match": ok, "max_qubits": max_qubits(), "rows": rows}
-    _emit(_json(payload), args.out)
-    if not ok:
+    ok = all(row["match"] for row in rows)
+    text = _json({"all_match": ok, "max_qubits": max_qubits(), "rows": rows})
+    if not ok:  # the table shows which rows deviate, so it is written before the exit
+        _emit(text, args.out)
         raise InvariantViolation("measured channel ledger deviates from the closed forms")
-    return 0
+    return text
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         require_at_least("--seed", args.seed, 0)  # every subcommand has one
-        return args.handler(args)
+        _emit(args.handler(args), args.out)
+        return 0
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

@@ -129,9 +129,11 @@ class ExperimentConfig:
                             f"got {self.redundancy_rule!r}")
         if self.redundancy_m > 1:
             if self.protocol == "multiparty":
-                raise GateError("redundant encoding is a two-party construction")
+                raise GateError("--redundancy-m needs a two-party --protocol; "
+                                "redundant encoding is a two-party construction")
             if self.mode is not CorrelationMode.AND:
-                raise GateError("redundant encoding decodes product means only")
+                raise GateError(f"--redundancy-m decodes product means only, "
+                                f"not --mode {self.mode.value}")
 
     @property
     def effective_num_values(self) -> int:
@@ -218,9 +220,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     return records
 
 
-def records_to_json(cfg: ExperimentConfig, records: list[dict]) -> str:
-    payload = {"config": cfg.as_dict(), "records": records}
+def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def records_to_json(cfg: ExperimentConfig, records: list[dict]) -> str:
+    return _json({"config": cfg.as_dict(), "records": records})
 
 
 CSV_COLUMNS = ("run_id", "estimate", "recovered_estimate", "truth", "server_view_truth",

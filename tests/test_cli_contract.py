@@ -47,6 +47,7 @@ INVALID_FLAGS = [
     (WORST, "--t", below(1)),
     (WORST, "--trials", below(0)),
     (BIASED, "--n", below(1)),
+    (BIASED, "--t", below(1)),  # required, though the strategy reads no readout
     (BIASED, "--trials", below(0)),
     (BIASED, "--focus", st.one_of(below(0), st.integers(8, BIG))),
     (BIASED, "--focus-prob", st.one_of(

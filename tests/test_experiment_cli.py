@@ -91,7 +91,11 @@ def test_config_validation_matrix():
         with pytest.raises((GateError, ValueError)):
             ExperimentConfig(**bad)
     for flag, bad in (("--redundancy-rule", dict(redundancy_rule="bogus")),
-                      ("--seed", dict(seed=-1)), ("--mode", dict(mode="and"))):
+                      ("--seed", dict(seed=-1)), ("--mode", dict(mode="and")),
+                      ("--redundancy-m", dict(redundancy_m=2, protocol="multiparty")),
+                      ("--protocol", dict(redundancy_m=2, protocol="multiparty")),
+                      ("--redundancy-m", dict(redundancy_m=2, mode=CorrelationMode.XOR)),
+                      ("--mode", dict(redundancy_m=2, mode=CorrelationMode.XOR))):
         with pytest.raises(GateError, match=flag):
             ExperimentConfig(**dict(ok, **bad))
 
@@ -357,6 +361,28 @@ def test_cli_ledger_check_mismatch_exits_4(monkeypatch, capsys):
     assert payload["all_match"] is False
 
 
+def test_cli_ledger_check_ignores_the_seed(capsys):
+    # a ledger counts rounds, qubits and oracle calls, which depend on
+    # neither the data nor the draws
+    outputs = []
+    for seed in ("0", "5"):
+        assert main(["ledger-check", "--max-n", "3", "--max-t", "2", "--m", "3",
+                     "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_ledger_check_rows_are_run_trials(capsys):
+    assert main(["ledger-check", "--max-n", "3", "--max-t", "2", "--m", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == len(VARIANTS) * 2 * 2
+    for row in rows:
+        assert main(["run", "--protocol", row["variant"], "--n", str(row["n_values"]),
+                     "--t", str(row["t"]), "--m", "3", "--random-inputs"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        assert row["measured"] == record["ledger"]
+
+
 def test_cli_grid_parsing_in_process(capsys):
     assert main(["privacy", "--kind", "overlap", "--grid", "4,2,2",
                  "--trials", "5000"]) == 0
@@ -431,6 +457,9 @@ def test_cli_parser_errors_take_the_one_error_path(argv, flag, capsys):
 
 
 RUN_SMALL = ["run", "--n", "4", "--t", "2"]
+PROBE_SMALL = ["attack", "--strategy", "plus-probe", "--n", "8", "--t", "2", "--random-inputs"]
+WORST_SMALL = ["attack", "--strategy", "blind-server-worst", "--n", "8", "--t", "2",
+               "--random-inputs"]
 
 
 @pytest.mark.parametrize("argv,flags", [
@@ -447,6 +476,16 @@ RUN_SMALL = ["run", "--n", "4", "--t", "2"]
       "--random-inputs", "--trials", "10"], ("--y-file",)),
     (["attack", "--strategy", "biased-index", "--n", "8", "--t", "3", "--random-inputs"],
      ("--random-inputs",)),
+    # the focus flags are biased-index's own; the y-reading strategies refuse them
+    (PROBE_SMALL + ["--focus", "3"], ("--focus",)),
+    (PROBE_SMALL + ["--focus", "0"], ("--focus",)),  # the default value, given explicitly
+    (PROBE_SMALL + ["--focus", "99", "--focus-prob", "7"], ("--focus",)),
+    (WORST_SMALL + ["--focus-prob", "0.5"], ("--focus-prob",)),
+    # redundant encoding is a two-party, product-mean construction
+    (RUN_SMALL + ["--random-inputs", "--redundancy-m", "2", "--mode", "xor"],
+     ("--redundancy-m", "--mode")),
+    (RUN_SMALL + ["--random-inputs", "--redundancy-m", "2", "--protocol", "multiparty"],
+     ("--redundancy-m", "--protocol")),
 ])
 def test_cli_flag_combinations_name_their_flags(argv, flags, capsys):
     assert main(argv) == 2
@@ -454,6 +493,19 @@ def test_cli_flag_combinations_name_their_flags(argv, flags, capsys):
     assert captured.out == ""
     line = single_error_line(captured.err)
     assert all(flag in line for flag in flags), line
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "4", "--t", "2", "--random-inputs"],
+    ["privacy", "--kind", "recovery"],
+])
+def test_cli_out_write_error_names_out(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = single_error_line(captured.err)
+    assert "--out" in line and str(out) in line
 
 
 SMALL_CAP = 8
