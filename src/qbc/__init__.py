@@ -72,7 +72,6 @@ from .protocol import (
     OwnershipError,
     ProtocolRun,
     ProtocolSim,
-    TranscriptEntry,
     client_name,
     index_width_for,
     parity_fraction,

@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     priv_p.add_argument("--grid",
                         help="semicolon-separated rows: N,d_x,count (recovery) "
                              "or N,d_y,t (overlap)")
-    priv_p.add_argument("--trials", type=int, default=100_000)
+    priv_p.add_argument("--trials", type=int,
+                        help="overlap: Monte Carlo trials per row (default 100000)")
 
     reg_p = command("regression", cmd_regression, "bit-plane inner product demo")
     reg_p.add_argument("--n", type=int, required=True, help="column length N")
@@ -225,19 +226,22 @@ def cmd_attack(args) -> str:
 
 
 def cmd_privacy(args) -> str:
-    require_at_least("--trials", args.trials, 1)
     if args.kind == "recovery":
+        if args.trials is not None:  # the recovery table is exact: it draws nothing
+            raise GateError("--trials does not apply to --kind recovery")
         grid = _parse_grid(args.grid) if args.grid is not None else RECOVERY_GRID
         for num, _, _ in grid:  # 2^(N - d_x) takes up to N bits, as N index cells do
             check_index_cap(index_width_for(num))
         return privacy_table_recovery(grid)
     else:
+        trials = 100_000 if args.trials is None else args.trials
+        require_at_least("--trials", trials, 1)
         grid = _parse_grid(args.grid) if args.grid is not None else OVERLAP_GRID
         for _, _, t in grid:
             require_at_least("--grid t", t, 1)
         for num, _, t in grid:  # each Monte Carlo trial draws N scores, one per index
             check_cap("baseline", index_width_for(num), t)
-        return privacy_table_overlap(grid, derive_rng(args.seed, 2), args.trials)
+        return privacy_table_overlap(grid, derive_rng(args.seed, 2), trials)
 
 
 def cmd_regression(args) -> str:

@@ -19,8 +19,8 @@ class ChannelLedger:
     oracle_calls: dict = field(default_factory=dict)
     grover_rounds: int = 0
 
-    def count_oracle(self, name: str, k: int = 1):
-        self.oracle_calls[name] = self.oracle_calls.get(name, 0) + k
+    def count_oracle(self, name: str):
+        self.oracle_calls[name] = self.oracle_calls.get(name, 0) + 1
 
     def oracle_total(self, *names) -> int:
         if not names:

@@ -99,9 +99,9 @@ def padded_table(bits, index_width: int) -> np.ndarray:
 # -- oracles ---------------------------------------------------------------
 
 
-def _count(ledger, name: str, k: int = 1):
+def _count(ledger, name: str):
     if ledger is not None:
-        ledger.count_oracle(name, k)
+        ledger.count_oracle(name)
 
 
 def _check_tables(*tables):

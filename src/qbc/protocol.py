@@ -18,14 +18,17 @@ keeps only those gates and its own pad rules. Baseline, blind-server
 and multiparty share one round, `one_trip`: Ux, the trip, Ux.
 `ProtocolSim` is the one execution object. It converts the inputs to
 bits; computes their joint bits (x XOR y in XOR mode, else the parity
-of the per-client products x AND y_k) and the truth from them; checks
-every caller-fixed pad or basis draw against the data length before any
-round runs; lays out index qubits [0, n), o1 at n and the work qubits
-after it; keeps the ownership map, ledger and transcript; frames each
-round (begin, the server's hold on the carrier, the steps, end, the
+of the per-client products x AND y_k) and the truth from them; lays out
+index qubits [0, n), o1 at n and the work qubits after it; keeps the
+run's rng, the ownership map, ledger and transcript; gives every pad or
+basis draw by one rule (`draw`: the caller's fixed bits, checked against
+the data length, else the variant's own draw or uniform bits from the
+rng, which must then be there), checked before any round runs; frames
+each round (begin, the server's hold on the carrier, the steps, end, the
 round hook); and samples the counting readout or returns its law.
-The round counter is the ledger's `grover_rounds`, and a round's
-transcript rows are the ones appended since the round began.
+The round counter is the ledger's `grover_rounds`. `transfer` notes
+each hop of the round under way, and `end_round` writes them as
+transcript rows, once the round's oracle-call count is known.
 
 The oracles take padded tables, built when their bits are drawn: the
 driver builds those of x, of each client's y and of a fixed pad g once
@@ -95,18 +98,6 @@ class OwnershipError(InvariantViolation):
     """A party applied a gate to a qubit it does not currently hold."""
 
 
-@dataclass
-class TranscriptEntry:
-    round_index: int
-    src: str
-    dst: str
-    qubits: int
-    oracle_calls: int = 0
-
-    def line(self) -> str:
-        return f"{self.round_index},{self.src},{self.dst},{self.qubits},{self.oracle_calls}"
-
-
 def index_width_for(num_values: int) -> int:
     if num_values < 1:
         raise GateError("need at least one data value")
@@ -126,7 +117,7 @@ class ProtocolRun:
     truth: float
     server_view_truth: float
     ledger: ChannelLedger
-    transcript: list[TranscriptEntry]
+    transcript: list[tuple]  # (round, src, dst, qubits, oracle_calls) per hop
     pads: dict = field(default_factory=dict)
     distribution: np.ndarray | None = None
 
@@ -141,7 +132,9 @@ class ProtocolRun:
 
 
 def transcript_lines(run: ProtocolRun) -> list[str]:
-    return ["round,from,to,qubits,oracle_calls"] + [e.line() for e in run.transcript]
+    return ["round,from,to,qubits,oracle_calls"] + [
+        ",".join(map(str, row)) for row in run.transcript
+    ]
 
 
 def work_owners(variant: str, num_clients: int = 1) -> list[str]:
@@ -161,16 +154,18 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
 
 class ProtocolSim:
     """One protocol execution: the inputs as bits, their joint bits and
-    truth, the data tables, the layout, the ownership map, ledger and
-    transcript, and the round frame, round trip and readout that every
-    variant shares."""
+    truth, the data tables, the layout, the rng, the ownership map,
+    ledger and transcript, and the draws, round frame, round trip and
+    readout that every variant shares."""
 
-    def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND):
+    def __init__(self, variant: str, x, ys, mode: CorrelationMode = CorrelationMode.AND,
+                 rng: np.random.Generator | None = None):
         x = as_bits(x)
         self.ys = ys = [as_bits(y) for y in ys]
         self.variant = variant
         self.num_values = len(x)
         self.mode = mode
+        self.rng = rng
         self.n = n = index_width_for(len(x))
         if any(len(y) != len(x) for y in ys):
             raise GateError("client vectors must match the server length")
@@ -194,8 +189,8 @@ class ProtocolSim:
             if holder != SERVER:
                 self.clients.setdefault(holder, []).append(q)
         self.ledger = ChannelLedger()
-        self.transcript: list[TranscriptEntry] = []
-        self._round_start = 0
+        self.transcript: list[tuple] = []
+        self._hops: list[tuple] = []  # (src, dst, qubits) of the round under way
         self._round_call_base = 0
 
     @property
@@ -204,13 +199,12 @@ class ProtocolSim:
 
     def begin_round(self):
         self.ledger.grover_rounds += 1
-        self._round_start = len(self.transcript)
         self._round_call_base = self.ledger.oracle_total()
 
     def end_round(self):
         calls = self.ledger.oracle_total() - self._round_call_base
-        for entry in self.transcript[self._round_start:]:
-            entry.oracle_calls = calls
+        self.transcript += [(self.round_index, *hop, calls) for hop in self._hops]
+        self._hops.clear()
         self.require_owner(SERVER, range(self.n))
 
     def require_owner(self, party: str, qubits):
@@ -226,17 +220,21 @@ class ProtocolSim:
         for q in qubits:
             self.owners[q] = dst
         self.ledger.quantum_qubits_sent += len(qubits)
-        self.transcript.append(TranscriptEntry(self.round_index, src, dst, len(qubits)))
+        self._hops.append((src, dst, len(qubits)))
 
-    def fixed_draw(self, bits, name: str):
-        """A caller-fixed pad or basis draw as bits, or None to leave it to
-        the rng; checked against the data length before any round runs."""
-        if bits is None:
-            return None
-        bits = as_bits(bits)
-        if len(bits) != self.num_values:
-            raise GateError(f"{name} length must match the data length {self.num_values}")
-        return bits
+    def draw(self, fixed, name: str, make=None):
+        """The source of the pad or basis draw `name`: a function giving
+        the caller-fixed bits, or else make(), or else uniform bits from
+        the rng. Checked when called, so before any round runs: a fixed
+        draw against the data length, otherwise the presence of an rng."""
+        if fixed is not None:
+            bits = as_bits(fixed)
+            if len(bits) != self.num_values:
+                raise GateError(f"{name} length must match the data length {self.num_values}")
+            return lambda: bits
+        if self.rng is None:
+            raise GateError(f"need an rng to draw {name}")
+        return make or (lambda: random_bits(self.num_values, self.rng))
 
     def trip(self, state, pad=None, back=()):
         """Send the index register and carrier from the server through
@@ -265,7 +263,7 @@ class ProtocolSim:
         self.trip(state, pad)
         apply_data_oracle(state, self.o1, self.x_table, self.ledger, "Ux")
 
-    def run(self, steps, t, rng, return_distribution, round_hook, result_bits):
+    def run(self, steps, t, return_distribution, round_hook, result_bits):
         """Count over the rounds `steps` makes, then return the exact
         readout law or sample it and send result_bits to the client."""
 
@@ -281,10 +279,10 @@ class ProtocolSim:
         result = estimate = dist = None
         if return_distribution:
             dist = counting_distribution(cfg)
-        elif rng is None:
+        elif self.rng is None:
             raise GateError("need an rng to sample the readout")
         else:
-            result = run_counting(cfg, rng)
+            result = run_counting(cfg, self.rng)
             self.ledger.classical_bits_sent += result_bits
             estimate = result.estimate * ((1 << self.n) / self.num_values)
         return ProtocolRun(
@@ -314,8 +312,8 @@ def run_qbc_baseline(
     round_hook=None,
 ) -> ProtocolRun:
     """Plain two-party estimation of the product (or XOR) mean."""
-    sim = ProtocolSim("baseline", x, [y], mode=mode)
-    return sim.run(sim.one_trip, t, rng, return_distribution, round_hook, t)
+    sim = ProtocolSim("baseline", x, [y], mode, rng)
+    return sim.run(sim.one_trip, t, return_distribution, round_hook, t)
 
 
 def run_blind_server(
@@ -335,16 +333,13 @@ def run_blind_server(
     iterates and breaks exact recovery. pad_per_round=True enables that
     regime anyway so the resulting estimator bias can be studied; the
     recovery then subtracts the average pad mean."""
-    sim = ProtocolSim("blind-server", x, [y])
+    sim = ProtocolSim("blind-server", x, [y], rng=rng)
     num, (y,) = sim.num_values, sim.ys
-    g = sim.fixed_draw(pad_bits, "pad_bits")
-    if g is None:
-        if rng is None:
-            raise GateError("need an rng to draw the pad")
-        g = blind_server_pad(y, rng)
-    elif pad_per_round:
+    draw_g = sim.draw(pad_bits, "pad_bits", lambda: blind_server_pad(y, rng))
+    g = draw_g()
+    if pad_bits is not None and pad_per_round:
         raise GateError("a forced pad and per-round redraws are incompatible")
-    elif np.any(g & y):
+    if np.any(g & y):
         raise GateError("pad must be zero wherever the client bit is 1")
     pads_used: list[np.ndarray] = [g]
     g_table = padded_table(g, sim.n)
@@ -352,11 +347,11 @@ def run_blind_server(
     def steps(state):
         nonlocal g_table
         if pad_per_round and sim.round_index > 1:
-            pads_used.append(blind_server_pad(y, rng))
+            pads_used.append(draw_g())
             g_table = padded_table(pads_used[-1], sim.n)
         sim.one_trip(state, g_table)
 
-    run = sim.run(steps, t, rng, return_distribution, round_hook, t)
+    run = sim.run(steps, t, return_distribution, round_hook, t)
     pad_mean = float(np.mean([np.sum(p) for p in pads_used])) / num
     if disclose_pad_sum:
         sim.ledger.classical_bits_sent += math.ceil(math.log2(num + 1))
@@ -381,19 +376,15 @@ def run_blind_client(
     per-round random basis choices and phase pads. Bases and pads are
     redrawn every round; the pipeline restores the exact baseline branch
     phases each round, so the readout statistics match the baseline."""
-    sim = ProtocolSim("blind-client", x, [y])
-    num = sim.num_values
-    fixed_r = sim.fixed_draw(force_basis, "force_basis")
-    fixed_h = sim.fixed_draw(force_pad, "force_pad")
-    if (fixed_r is None or fixed_h is None) and rng is None:
-        raise GateError("need an rng to draw bases and pads")
+    sim = ProtocolSim("blind-client", x, [y], rng=rng)
+    draw_r = sim.draw(force_basis, "force_basis")
+    draw_h = sim.draw(force_pad, "force_pad")
     bases: list[np.ndarray] = []
     pads: list[np.ndarray] = []
     o1, oa, ledger, xt = sim.o1, sim.work[-1], sim.ledger, sim.x_table
 
     def steps(state):
-        r_bits = fixed_r if fixed_r is not None else random_bits(num, rng)
-        h_bits = fixed_h if fixed_h is not None else random_bits(num, rng)
+        r_bits, h_bits = draw_r(), draw_h()
         bases.append(r_bits)
         pads.append(h_bits)
         rt, ht = padded_table(r_bits, sim.n), padded_table(h_bits, sim.n)
@@ -405,7 +396,7 @@ def run_blind_client(
         sim.trip(state, back=[oa])
         apply_ux4(state, o1, oa, x_on, rt, ht, ledger)
 
-    run = sim.run(steps, t, rng, return_distribution, round_hook, 0)
+    run = sim.run(steps, t, return_distribution, round_hook, 0)
     run.pads = {"basis": bases, "h": pads}
     return run
 
@@ -433,14 +424,10 @@ def run_multiparty(
         raise GateError("cascade needs at least two clients")
     if pad_bits is not None and not pad_first_client:
         raise GateError("pad_bits needs pad_first_client=True")
-    sim = ProtocolSim("multiparty", x, ys)
-    g = sim.fixed_draw(pad_bits, "pad_bits")
-    if pad_first_client and g is None:
-        if rng is None:
-            raise GateError("need an rng to draw the pad")
-        g = random_bits(sim.num_values, rng)
+    sim = ProtocolSim("multiparty", x, ys, rng=rng)
+    g = sim.draw(pad_bits, "pad_bits")() if pad_first_client else None
     g_table = None if g is None else padded_table(g, sim.n)
-    run = sim.run(lambda state: sim.one_trip(state, g_table), t, rng, return_distribution,
+    run = sim.run(lambda state: sim.one_trip(state, g_table), t, return_distribution,
                   round_hook, 0)
     if g is not None:
         run.server_view_truth = float(np.sum(sim.joint ^ g)) / sim.num_values

@@ -486,6 +486,8 @@ WORST_SMALL = ["attack", "--strategy", "blind-server-worst", "--n", "8", "--t", 
      ("--redundancy-m", "--mode")),
     (RUN_SMALL + ["--random-inputs", "--redundancy-m", "2", "--protocol", "multiparty"],
      ("--redundancy-m", "--protocol")),
+    # the recovery table is exact, so it refuses a Monte Carlo trial count
+    (["privacy", "--kind", "recovery", "--trials", "7", "--seed", "3"], ("--trials", "--kind")),
 ])
 def test_cli_flag_combinations_name_their_flags(argv, flags, capsys):
     assert main(argv) == 2

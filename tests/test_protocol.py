@@ -451,6 +451,53 @@ def test_fixed_draws_of_the_wrong_length_fail_before_any_round(slot, length):
     assert rounds == []
 
 
+NO_RNG_NUM = 6
+NO_RNG_RUNS = {
+    "baseline": lambda x, y, **kw: run_qbc_baseline(x, y, 2, **kw),
+    "blind-server": lambda x, y, **kw: run_blind_server(x, y, 2, **kw),
+    "blind-server pad_bits": lambda x, y, **kw: run_blind_server(x, y, 2, pad_bits=1 - y, **kw),
+    "blind-client": lambda x, y, **kw: run_blind_client(x, y, 2, **kw),
+    "blind-client forced": lambda x, y, **kw: run_blind_client(
+        x, y, 2, force_basis=y, force_pad=x, **kw),
+    "multiparty": lambda x, y, **kw: run_multiparty(x, [y, x], 2, **kw),
+    "multiparty pad_bits": lambda x, y, **kw: run_multiparty(x, [y, x], 2, pad_bits=y, **kw),
+    "multiparty unpadded": lambda x, y, **kw: run_multiparty(
+        x, [y, x], 2, pad_first_client=False, **kw),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("setup,draw", [
+    ("baseline", None),
+    ("blind-server", "pad_bits"),
+    ("blind-server pad_bits", None),
+    ("blind-client", "force_basis"),
+    ("blind-client forced", None),
+    ("multiparty", "pad_bits"),
+    ("multiparty pad_bits", None),
+    ("multiparty unpadded", None),
+])
+def test_runs_without_an_rng_fail_before_any_round_or_need_none(setup, draw, exact):
+    # a run needs an rng for the first draw it is not given, and then for
+    # the readout sample; an exact-law run with every draw fixed needs none
+    rng = np.random.default_rng(25)
+    x, y = random_bits(NO_RNG_NUM, rng), random_bits(NO_RNG_NUM, rng)
+    rounds = []
+
+    def go():
+        return NO_RNG_RUNS[setup](x, y, return_distribution=exact,
+                                  round_hook=lambda r, state: rounds.append(r))
+
+    if draw is None and exact:
+        assert go().distribution.sum() == pytest.approx(1.0)
+        assert rounds == [1, 2, 3]
+        return
+    need = "sample the readout" if draw is None else f"draw {draw}"
+    with pytest.raises(GateError, match=f"need an rng to {need}"):
+        go()
+    assert rounds == []
+
+
 # -- multiparty ---------------------------------------------------------------------
 
 
