@@ -102,8 +102,8 @@ def _probe_round_quantum(y, rng) -> tuple[int, int]:
     honest client's block (the round trip of a baseline run whose x is
     all zero), then Z on the index and X on the carrier."""
     sim = ProtocolSim("baseline", np.zeros(len(y), dtype=np.uint8), [y])
-    sv = StateVector(len(sim.owners))
-    for q in sim.carried:
+    sv = StateVector(sim.block_qubits)
+    for q in range(sim.o1 + 1):  # the index register and o1
         sv.h(q)
     sim.trip(sv)
     j = 0

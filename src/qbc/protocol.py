@@ -20,7 +20,7 @@ and multiparty share one round, `one_trip`: Ux, the trip, Ux.
 bits; computes their joint bits (x XOR y in XOR mode, else the parity
 of the per-client products x AND y_k) and the truth from them; lays out
 index qubits [0, n), o1 at n and the work qubits after it; keeps the
-run's rng, the ownership map, ledger and transcript; gives every pad or
+run's rng, the block's holder, ledger and transcript; gives every pad or
 basis draw by one rule (`draw`: the caller's fixed bits, checked against
 the data length, else the variant's own draw or uniform bits from the
 rng, which must then be there), checked before any round runs; frames
@@ -37,9 +37,11 @@ step its basis and pad tables each round; its x AND r and x AND NOT r
 tables are products of those tables, whose padding is zero.
 
 The counting layer runs each round once on a probe of the index + work
-block (see `qbc.counting`), so the parties' gates act on exactly the
-qubits they hold. Every qubit a party operates on is checked against
-the ownership map, and violations abort the run. A
+block (see `qbc.counting`), `block_qubits` wide. The index register and
+o1 travel as one carried block, whose holder is checked at each hop, at
+round start and at round end; each work qubit stays with its party from
+`work_owners`. Gates are not checked against the party that applies
+them (ROADMAP.md item 3). A
 `round_hook(round_index, state)` receives the probe after the round:
 the uniform index register carrying the round's phases, and the work
 qubits, which must be clear again.
@@ -95,7 +97,7 @@ def client_name(k: int = 1) -> str:
 
 
 class OwnershipError(InvariantViolation):
-    """A party applied a gate to a qubit it does not currently hold."""
+    """A party sent or needed the carried block while another held it."""
 
 
 def index_width_for(num_values: int) -> int:
@@ -154,7 +156,7 @@ def work_owners(variant: str, num_clients: int = 1) -> list[str]:
 
 class ProtocolSim:
     """One protocol execution: the inputs as bits, their joint bits and
-    truth, the data tables, the layout, the rng, the ownership map,
+    truth, the data tables, the layout, the rng, the block's holder,
     ledger and transcript, and the draws, round frame, round trip and
     readout that every variant shares."""
 
@@ -180,10 +182,9 @@ class ProtocolSim:
         self.y_tables = [padded_table(y, n) for y in ys]
         holders = work_owners(variant, len(ys))
         self.o1 = n
-        self.carried = list(range(n + 1))
         self.work = list(range(n + 1, n + 1 + len(holders)))
-        self.owners = dict.fromkeys(self.carried, SERVER)
-        self.owners.update(zip(self.work, holders))
+        self.block_qubits = n + 1 + len(holders)
+        self.holder = SERVER  # of the carried block: the index register and o1
         self.clients: dict[str, list[int]] = {}  # each client's work qubits, in visiting order
         for q, holder in zip(self.work, holders):
             if holder != SERVER:
@@ -205,22 +206,18 @@ class ProtocolSim:
         calls = self.ledger.oracle_total() - self._round_call_base
         self.transcript += [(self.round_index, *hop, calls) for hop in self._hops]
         self._hops.clear()
-        self.require_owner(SERVER, range(self.n))
+        self.require_owner(SERVER)
 
-    def require_owner(self, party: str, qubits):
-        for q in qubits:
-            holder = self.owners.get(q)
-            if holder != party:
-                raise OwnershipError(
-                    f"round {self.round_index}: {party} acted on qubit {q} held by {holder}"
-                )
+    def require_owner(self, party: str):
+        if self.holder != party:
+            raise OwnershipError(f"round {self.round_index}: {party} needs the index "
+                                 f"register and o1, held by {self.holder}")
 
-    def transfer(self, qubits, src: str, dst: str):
-        self.require_owner(src, qubits)
-        for q in qubits:
-            self.owners[q] = dst
-        self.ledger.quantum_qubits_sent += len(qubits)
-        self._hops.append((src, dst, len(qubits)))
+    def transfer(self, src: str, dst: str):
+        self.require_owner(src)
+        self.holder = dst
+        self.ledger.quantum_qubits_sent += self.n + 1
+        self._hops.append((src, dst, self.n + 1))
 
     def draw(self, fixed, name: str, make=None):
         """The source of the pad or basis draw `name`: a function giving
@@ -236,24 +233,21 @@ class ProtocolSim:
             raise GateError(f"need an rng to draw {name}")
         return make or (lambda: random_bits(self.num_values, self.rng))
 
-    def trip(self, state, pad=None, back=()):
+    def trip(self, state, pad=None):
         """Send the index register and carrier from the server through
         clients 1..m and back. Each client runs its Uy, the correlation
         gate and Uy on its first work qubit; client 1 then applies the pad
-        table, if given, on its last. The server then acts on the carrier
-        and on `back`."""
-        holder = SERVER
+        table, if given, on its last."""
+        src = SERVER
         for (client, work), y in zip(self.clients.items(), self.y_tables):
-            self.transfer(self.carried, holder, client)
-            self.require_owner(client, self.carried + work)
+            self.transfer(src, client)
             apply_data_oracle(state, work[0], y, self.ledger, "Uy")
             apply_correlation_gate(state, self.o1, work[0], self.mode)
             apply_data_oracle(state, work[0], y, self.ledger, "Uy")
-            if pad is not None and holder == SERVER:  # client 1
+            if pad is not None and src == SERVER:  # client 1
                 apply_phase_pad(state, pad, work[-1], self.ledger, "Ug")
-            holder = client
-        self.transfer(self.carried, holder, SERVER)
-        self.require_owner(SERVER, self.carried + list(back))
+            src = client
+        self.transfer(src, SERVER)
 
     def one_trip(self, state, pad=None):
         """The single-trip round of baseline, blind-server and multiparty:
@@ -269,13 +263,13 @@ class ProtocolSim:
 
         def grover_round(state):
             self.begin_round()
-            self.require_owner(SERVER, self.carried)
+            self.require_owner(SERVER)
             steps(state)
             self.end_round()
             if round_hook is not None:
                 round_hook(self.round_index, state)
 
-        cfg = CountingConfig(self.n, t, grover_round, work_qubits=1 + len(self.work))
+        cfg = CountingConfig(self.n, t, grover_round, work_qubits=self.block_qubits - self.n)
         result = estimate = dist = None
         if return_distribution:
             dist = counting_distribution(cfg)
@@ -390,10 +384,10 @@ def run_blind_client(
         rt, ht = padded_table(r_bits, sim.n), padded_table(h_bits, sim.n)
         x_on, x_off = xt & rt, xt & (1 - rt)
         apply_ux1(state, o1, xt, rt, ledger)
-        sim.trip(state, back=[oa])
+        sim.trip(state)
         apply_ux2(state, o1, oa, xt, rt, x_off, ledger)
         apply_ux3(state, ht, oa, ledger)
-        sim.trip(state, back=[oa])
+        sim.trip(state)
         apply_ux4(state, o1, oa, x_on, rt, ht, ledger)
 
     run = sim.run(steps, t, return_distribution, round_hook, 0)

@@ -127,14 +127,15 @@ def test_live_probe_runs_the_client_block_through_the_round_trip(monkeypatch):
     sims = []
     real = qbc.protocol.ProtocolSim.trip
 
-    def trip(self, state, pad=None, back=()):
-        sims.append(self)
-        return real(self, state, pad, back)
+    def trip(self, state, pad=None):
+        sims.append((self, state.num_qubits))
+        return real(self, state, pad)
 
     monkeypatch.setattr(qbc.protocol.ProtocolSim, "trip", trip)
     attack_plus_probe([1, 0, 1, 1, 0], 2, np.random.default_rng(5), quantum=True)
     assert len(sims) == 3
-    for sim in sims:
+    for sim, width in sims:
+        assert width == sim.block_qubits
         assert sim.variant == "baseline" and not sim.x_table.any()
         assert sim.ledger.oracle_calls == {"Uy": 2}
         assert sim.ledger.quantum_qubits_sent == 2 * (3 + 1)

@@ -27,8 +27,15 @@ from qbc.experiment import (
     run_experiment,
 )
 from qbc.ledger import VARIANTS, ChannelLedger
-from qbc.oracles import CorrelationMode
-from qbc.protocol import index_width_for
+from qbc.oracles import CorrelationMode, random_bits
+from qbc.protocol import (
+    ProtocolSim,
+    index_width_for,
+    run_blind_client,
+    run_blind_server,
+    run_multiparty,
+    run_qbc_baseline,
+)
 from qbc.statevector import GateError
 
 
@@ -125,6 +132,23 @@ def test_qubit_budgets():
     assert qubit_budget("multiparty", 3, 4, num_clients=3) == 11
     with pytest.raises(GateError):
         qubit_budget("nope", 3, 4)
+    # the cap counts the state a run simulates: the probe every round runs
+    # on, block_qubits wide, plus the readout register
+    two_party = {"baseline": run_qbc_baseline, "blind-server": run_blind_server,
+                 "blind-client": run_blind_client}
+    rng = np.random.default_rng(4)
+    t = 2
+    for variant, m in [(v, 1) for v in two_party] + [("multiparty", 2), ("multiparty", 3)]:
+        x, *ys = (random_bits(5, rng) for _ in range(m + 1))
+        sim = ProtocolSim(variant, x, ys)
+        assert qubit_budget(variant, sim.n, t, m) == sim.block_qubits + t
+        widths = set()
+        hook = lambda _, state: widths.add(state.num_qubits)
+        if variant == "multiparty":
+            run_multiparty(x, ys, t, rng=rng, round_hook=hook)
+        else:
+            two_party[variant](x, ys[0], t, rng=rng, round_hook=hook)
+        assert widths == {sim.block_qubits}, (variant, m)
 
 
 def test_cap_enforcement(monkeypatch):

@@ -224,29 +224,38 @@ def test_expected_ledger_validation():
 # -- ownership and transcript ------------------------------------------------------
 
 
-# a two-value baseline execution: index qubit 0 and carrier 1 start with
-# the server, work qubit 2 with the client
+# a two-value baseline execution: the carried block, index qubit 0 and
+# carrier 1, starts with the server; work qubit 2 stays with the client
 
 
 def test_transfer_requires_current_owner():
     sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
+    sim.begin_round()
     with pytest.raises(OwnershipError):
-        sim.transfer([2], SERVER, client_name(1))
-    sim.transfer([0], SERVER, client_name(1))
-    assert sim.owners[0] == client_name(1)
-    assert sim.ledger.quantum_qubits_sent == 1
+        sim.transfer(client_name(1), SERVER)
+    assert sim.holder == SERVER
+    assert sim.ledger.quantum_qubits_sent == 0
+    sim.transfer(SERVER, client_name(1))
+    assert sim.holder == client_name(1)
+    assert sim.ledger.quantum_qubits_sent == 2
+    sim.transfer(client_name(1), SERVER)
+    sim.end_round()
+    # the refused transfer left no hop in the round's rows
+    assert sim.transcript == [(1, SERVER, client_name(1), 2, 0),
+                              (1, client_name(1), SERVER, 2, 0)]
 
 
 def test_require_owner_names_the_holder():
     sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
-    with pytest.raises(OwnershipError, match="client1"):
-        sim.require_owner(SERVER, [2])
+    sim.transfer(SERVER, client_name(1))
+    with pytest.raises(OwnershipError, match="held by client1"):
+        sim.require_owner(SERVER)
 
 
 def test_end_round_requires_registers_back_home():
     sim = ProtocolSim("baseline", [1, 0], [[1, 1]])
     sim.begin_round()
-    sim.transfer([0], SERVER, client_name(1))
+    sim.transfer(SERVER, client_name(1))
     with pytest.raises(OwnershipError):
         sim.end_round()
 
