@@ -8,13 +8,14 @@ communication ledger counts real channel uses: 2**t - 1 iterates in all.
 
 Each oracle call (a round) runs once, gate by gate, on a probe of the
 block, index qubits [0, n) and work qubits [n, n+w), reset to |u> with
-clear work qubits. The probe raises GateError, before it changes, on a
-non-diagonal gate (h, x, cnot, swap, all through `apply_1q`) that
-targets an index qubit, and on a predicate table of other than 2**n
-entries, so every table spans the whole index register. The work
-qubits must be clear after the round. The round is
-thus a diagonal d(i) on the index register for every readout branch at
-once, and d is sqrt(2**n) times the probe's work-0 column.
+clear work qubits. The probe sets `index_width` = n, so the state's
+own operand checks raise GateError, before it changes, on a non-diagonal
+gate (h, x, cnot, swap, all through `apply_1q`) that targets an index
+qubit (in `_plan`), and on a predicate table of other than 2**n entries
+(in `_rows`), so every table spans the whole index register. The work
+qubits must be clear after the round. The round is thus a diagonal
+d(i) on the index register for every readout branch at once, and d is
+sqrt(2**n) times the probe's work-0 column.
 
 Readout qubits act only as controls until the final Fourier transform,
 so they are added lazily. The readout branches are a (2**pos, 2**n)
@@ -114,24 +115,14 @@ def work_leakage(state: StateVector, work_reg) -> float:
 
 
 class _Probe(StateVector):
-    """The block a round runs on. A non-diagonal gate may not target an
-    index qubit, so a round that passes is diagonal on the index, and a
-    predicate table must span the whole index register."""
+    """The block a round runs on. Its `index_width` makes each gate's own
+    checks refuse a non-diagonal gate on an index qubit, so a round that
+    passes is diagonal on the index, and a table that does not span the
+    whole index register."""
 
     def __init__(self, cfg: CountingConfig):
         super().__init__(cfg.block_qubits)
         self.index_width = cfg.index_width
-
-    def _rows(self, pred):
-        if pred is not None and len(pred) != 1 << self.index_width:
-            raise GateError(f"table of length {len(pred)} does not fit "
-                            f"a {1 << self.index_width}-value index")
-        return super()._rows(pred)
-
-    def apply_1q(self, u, target, controls=(), pred=None):
-        if 0 <= target < self.index_width:
-            raise GateError(f"a round may not apply a non-diagonal gate to index qubit {target}")
-        return super().apply_1q(u, target, controls, pred)
 
 
 def _powers(cfg: CountingConfig) -> np.ndarray:

@@ -117,9 +117,8 @@ def apply_data_oracle(state, target, table, ledger=None, name="Ux"):
 
 
 def apply_correlation_gate(state, o1, o2, mode: CorrelationMode):
-    """Phase (-1)**(a AND b) or (-1)**(a XOR b) of the two work qubits."""
-    if o1 == o2:
-        raise GateError("correlation gate needs two distinct work qubits")
+    """Phase (-1)**(a AND b) or (-1)**(a XOR b) of the two work qubits.
+    Both gates refuse o1 == o2 before the state changes."""
     if mode is CorrelationMode.AND:
         state.cz(o1, o2)
     elif mode is CorrelationMode.XOR:

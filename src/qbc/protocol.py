@@ -41,7 +41,7 @@ block (see `qbc.counting`), `block_qubits` wide. The index register and
 o1 travel as one carried block, whose holder is checked at each hop, at
 round start and at round end; each work qubit stays with its party from
 `work_owners`. Gates are not checked against the party that applies
-them (ROADMAP.md item 3). A
+them (ROADMAP.md item 4). A
 `round_hook(round_index, state)` receives the probe after the round:
 the uniform index register carrying the round's phases, and the work
 qubits, which must be clear again.

@@ -14,7 +14,10 @@ operands are checked, and its view shape and keys built, once per
 distinct operand set by the cached `_plan`; each call then does only the
 table step, `_rows` (the table's shape check and its nonzero rows,
 since tables change from round to round), and the numpy work, so no gate
-builds an array over all basis states. `bit_values` and
+builds an array over all basis states. On the counting probe, whose
+`index_width` is nonzero, the same two steps enforce a round's rules:
+`_plan` refuses a non-diagonal gate on an index qubit, and `_rows` a
+table that does not span the index register. `bit_values` and
 `register_values` are read-outs kept for the tests and the adversary's
 uniformity check.
 
@@ -100,11 +103,17 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan(num_qubits: int, k: int, targets: tuple, controls: tuple) -> _Plan:
+def _plan(num_qubits: int, k: int, targets: tuple, controls: tuple,
+          index_width: int = 0) -> _Plan:
     """Check a gate's operands and build its keys, once per distinct
-    operand set. Raises GateError, and caches nothing, on a qubit out of
-    range, a qubit named twice among the targets and controls, or a
-    target or control inside the predicated register."""
+    operand set. Raises GateError, and caches nothing, on a target among
+    the leading `index_width` qubits (a round's index register, which a
+    non-diagonal gate may not act on), a qubit out of range, a qubit
+    named twice among the targets and controls, or a target or control
+    inside the predicated register."""
+    for t in targets:
+        if 0 <= t < index_width:
+            raise GateError(f"a round may not apply a non-diagonal gate to index qubit {t}")
     operands = targets + controls
     for q in operands:
         if not 0 <= q < num_qubits:
@@ -137,6 +146,8 @@ def _plan(num_qubits: int, k: int, targets: tuple, controls: tuple) -> _Plan:
 
 class StateVector:
     """State of `num_qubits` qubits as a dense complex amplitude vector."""
+
+    index_width = 0  # set only by the counting probe; 0 leaves the round rules vacuous
 
     def __init__(self, num_qubits: int, amps: np.ndarray | None = None):
         if num_qubits < 1:
@@ -184,6 +195,9 @@ class StateVector:
         round, so this step runs on every call."""
         if pred is None:
             return 0, slice(None)
+        if self.index_width and len(pred) != 1 << self.index_width:
+            raise GateError(f"table of length {len(pred)} does not fit "
+                            f"a {1 << self.index_width}-value index")
         table = np.asarray(pred)
         k = table.size.bit_length() - 1
         if not 0 <= k <= self.num_qubits or table.shape != (1 << k,):
@@ -196,7 +210,7 @@ class StateVector:
     def apply_1q(self, u: np.ndarray, target: int, controls=(), pred=None):
         """Apply H_MAT or X_MAT to `target`, restricted by controls/predicate."""
         k, rows = self._rows(pred)
-        plan = _plan(self.num_qubits, k, (target,), tuple(controls))
+        plan = _plan(self.num_qubits, k, (target,), tuple(controls), self.index_width)
         if u is not X_MAT and u is not H_MAT:
             raise GateError("apply_1q takes H_MAT or X_MAT")
         view = self.amps.reshape(plan.shape)
@@ -244,6 +258,8 @@ class StateVector:
         return self.apply_1q(X_MAT, target, tuple(controls) + (control,))
 
     def swap(self, a: int, b: int, controls=()):
+        # both targets are checked before the first cnot, so a refused swap changes nothing
+        _plan(self.num_qubits, 0, (a, b), tuple(controls), self.index_width)
         self.cnot(a, b, controls)
         self.cnot(b, a, controls)
         self.cnot(a, b, controls)

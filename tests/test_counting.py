@@ -346,18 +346,30 @@ def test_every_variant_matches_its_gates_on_the_dense_circuit(monkeypatch, setup
 @pytest.mark.parametrize("gate", [
     lambda s: s.h(0),
     lambda s: s.x(1),
-    lambda s: s.swap(0, 2),
+    lambda s: s.swap(0, 2),  # its first cnot would target work qubit 2
     lambda s: s.cnot(2, 1),
 ])
 def test_round_rejects_non_diagonal_gate_on_index(gate):
-    with pytest.raises(GateError, match="index qubit"):
-        counting_distribution(CountingConfig(2, 2, gate, work_qubits=1))
+    gate(StateVector(3))  # allowed on a plain state of the probe's width, and its plan cached
+    seen = []
+
+    def oracle(probe):
+        seen.append(probe.amps.copy())
+        try:
+            gate(probe)
+        finally:
+            seen.append(probe.amps.copy())
+
+    with pytest.raises(GateError, match="non-diagonal gate to index qubit"):
+        counting_distribution(CountingConfig(2, 2, oracle, work_qubits=1))
+    assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_round_rejects_a_table_of_half_the_index(n):
-    # on a plain state a 2**(n-1)-entry table reads the top n-1 qubits;
-    # in a round every table must span the whole n-qubit index register
+    # on a plain state a 2**(n-1)-entry table reads the top n-1 qubits
+    # (none for n = 1: a 1-entry table reads no qubit); in a round every
+    # table must span the whole n-qubit index register
     half = np.ones(1 << (n - 1), dtype=np.uint8)
     apply_phase_pad(StateVector(n + 1), half, n)
     seen = []

@@ -201,8 +201,13 @@ def test_correlation_gate_xor_phase(a, b):
 
 def test_correlation_gate_rejects_same_qubit():
     sv = StateVector(2)
-    with pytest.raises(GateError):
-        apply_correlation_gate(sv, 1, 1, CorrelationMode.AND)
+    sv.h(0)
+    sv.x(1)
+    ref = sv.amps.copy()
+    for mode in CorrelationMode:
+        with pytest.raises(GateError, match="name a qubit twice"):
+            apply_correlation_gate(sv, 1, 1, mode)
+        assert np.array_equal(sv.amps, ref), mode
 
 
 @pytest.mark.parametrize("bad_len", [3, 5, 8])

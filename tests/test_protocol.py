@@ -682,18 +682,31 @@ def test_every_variant_law_is_the_counting_law_of_its_joint_bits(variant, num, t
     assert ledgers_equal(run.ledger, want)
 
 
-@pytest.mark.parametrize("variant", ["baseline", "blind-server"])
+@pytest.mark.parametrize("variant", [
+    "baseline", "blind-server", "blind-client", "multiparty-2", "multiparty-2-padded",
+    "multiparty-3", "multiparty-3-padded",
+])
 def test_large_index_law_keeps_its_digits(variant):
     # the diffusion mean over 2**12 index branches must not lose digits
-    # to its summation order
+    # to its summation order, in every variant
     num, t = 4096, 8
     rng = np.random.default_rng(4096)
     x, y = random_bits(num, rng), random_bits(num, rng)
     if variant == "baseline":
         run = run_qbc_baseline(x, y, t, return_distribution=True)
         count = int(np.sum(x & y))
-    else:
+    elif variant == "blind-server":
         run = run_blind_server(x, y, t, rng=rng, return_distribution=True)
         count = int(np.sum(x & y)) + int(np.sum(run.pads["g"]))
+    elif variant == "blind-client":
+        run = run_blind_client(x, y, t, rng=rng, return_distribution=True)
+        count = int(np.sum(x & y))
+    else:
+        m, padded = int(variant.split("-")[1]), variant.endswith("padded")
+        ys = [y] + [random_bits(num, rng) for _ in range(m - 1)]
+        run = run_multiparty(x, ys, t, rng=rng, pad_first_client=padded,
+                             return_distribution=True)
+        parity = np.bitwise_xor.reduce([x & yk for yk in ys])
+        count = int(np.sum(parity ^ run.pads["g"])) if padded else int(np.sum(parity))
     law = phase_estimation_distribution(count, num, t)
     assert tv_distance(run.distribution, law) <= 5e-14
