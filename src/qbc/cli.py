@@ -286,30 +286,31 @@ def cmd_ledger_check(args) -> str:
     require_at_least("--max-n", args.max_n, 2)
     require_at_least("--max-t", args.max_t, 1)
     require_at_least("--m", args.m, 2)
+
+    def sweep():
+        for variant in VARIANTS:
+            for num in range(2, args.max_n + 1):
+                for t in range(1, args.max_t + 1):
+                    yield ExperimentConfig(protocol=variant, num_values=num, t=t, seed=args.seed,
+                                           num_clients=args.m, random_inputs=True)
+
+    # the whole sweep is checked against the cap, in sweep order, before any row runs
+    for cfg in sweep():
+        check_cap(cfg.protocol, cfg.index_width, cfg.t, cfg.num_clients)
     rows = []
-    for variant in VARIANTS:
-        for num in range(2, args.max_n + 1):
-            for t in range(1, args.max_t + 1):
-                cfg = ExperimentConfig(
-                    protocol=variant,
-                    num_values=num,
-                    t=t,
-                    seed=args.seed,
-                    num_clients=args.m,
-                    random_inputs=True,
-                )
-                got = run_experiment(cfg)[0]["ledger"]
-                want = expected_ledger(variant, cfg.index_width, t, num_clients=args.m).as_dict()
-                rows.append(
-                    {
-                        "variant": variant,
-                        "n_values": num,
-                        "t": t,
-                        "expected": want,
-                        "measured": got,
-                        "match": got == want,
-                    }
-                )
+    for cfg in sweep():
+        got = run_experiment(cfg)[0]["ledger"]
+        want = expected_ledger(cfg.protocol, cfg.index_width, cfg.t, num_clients=args.m).as_dict()
+        rows.append(
+            {
+                "variant": cfg.protocol,
+                "n_values": cfg.num_values,
+                "t": cfg.t,
+                "expected": want,
+                "measured": got,
+                "match": got == want,
+            }
+        )
     ok = all(row["match"] for row in rows)
     text = _json({"all_match": ok, "max_qubits": max_qubits(), "rows": rows})
     if not ok:  # the table shows which rows deviate, so it is written before the exit

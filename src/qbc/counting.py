@@ -6,16 +6,18 @@ realized by repeating the iterate, never by exponentiating a matrix, so
 a protocol can hop qubits between parties once per iterate and the
 communication ledger counts real channel uses: 2**t - 1 iterates in all.
 
-Each oracle call (a round) runs once, gate by gate, on a probe of the
-block, index qubits [0, n) and work qubits [n, n+w), reset to |u> with
-clear work qubits. The probe sets `index_width` = n, so the state's
-own operand checks raise GateError, before it changes, on a non-diagonal
-gate (h, x, cnot, swap, all through `apply_1q`) that targets an index
-qubit (in `_plan`), and on a predicate table of other than 2**n entries
-(in `_rows`), so every table spans the whole index register. The work
-qubits must be clear after the round. The round is thus a diagonal
-d(i) on the index register for every readout branch at once, and d is
-sqrt(2**n) times the probe's work-0 column.
+Each oracle call (a round) runs once, gate by gate, on a probe: a
+StateVector of the block, index qubits [0, n) and work qubits [n, n+w),
+reset to |u> with clear work qubits. The probe's `index_width` is n, so
+the state's own operand checks raise GateError, before it changes, on a
+non-diagonal gate (h, x, cnot, swap, all through `apply_1q`) that
+targets an index qubit (in `_plan`), and on a predicate table of other
+than 2**n entries (in `_rows`), so every table spans the whole index
+register. The work check, `work_leakage`, reads the same layout: every
+qubit past the index register is a work qubit, and after the round each
+must be clear. The round is thus a diagonal d(i) on the index register
+for every readout branch at once, and d is sqrt(2**n) times the probe's
+work-0 column.
 
 Readout qubits act only as controls until the final Fourier transform,
 so they are added lazily. The readout branches are a (2**pos, 2**n)
@@ -45,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .statevector import GateError, InvariantViolation, StateVector, WORK_LEAK_ATOL
+from .statevector import InvariantViolation, StateVector, WORK_LEAK_ATOL
 
 # Unused here: perfbench's test_tracer_restores_every_namespace asserts
 # that qbc.counting.apply_gate is qbc.statevector.apply_gate.
@@ -66,10 +68,6 @@ class CountingConfig:
             raise ValueError("index register needs at least one qubit")
         if self.precision < 1:
             raise ValueError("readout register needs at least one qubit")
-
-    @property
-    def work_reg(self) -> tuple:
-        return tuple(range(self.index_width, self.block_qubits))
 
     @property
     def block_qubits(self) -> int:
@@ -102,34 +100,20 @@ def estimate_from_outcome(j: int, t: int) -> EstimateResult:
     )
 
 
-def work_leakage(state: StateVector, work_reg) -> float:
-    """Total probability mass on components with any work qubit set; the
-    work register is a run of consecutive qubits [n, n+w)."""
-    if not work_reg:
-        return 0.0
-    n, w = work_reg[0], len(work_reg)
-    if tuple(work_reg) != tuple(range(n, n + w)) or n + w > state.num_qubits:
-        raise GateError("work register must be consecutive qubits of the state")
-    hot = state.amps.reshape(1 << n, 1 << w, -1)[:, 1:, :]
+def work_leakage(probe: StateVector) -> float:
+    """Total probability mass on components with any work qubit set. The
+    work qubits are those past the probe's `index_width`; with none, the
+    mass is 0."""
+    hot = probe.amps.reshape(1 << probe.index_width, -1)[:, 1:]
     return float(np.sum(np.abs(hot) ** 2))
-
-
-class _Probe(StateVector):
-    """The block a round runs on. Its `index_width` makes each gate's own
-    checks refuse a non-diagonal gate on an index qubit, so a round that
-    passes is diagonal on the index, and a table that does not span the
-    whole index register."""
-
-    def __init__(self, cfg: CountingConfig):
-        super().__init__(cfg.block_qubits)
-        self.index_width = cfg.index_width
 
 
 def _powers(cfg: CountingConfig) -> np.ndarray:
     """Amplitudes of sum_r |r> G**r |u> / sqrt(2**t) as a (readout,
     index) array: one readout block at a time, each a copy of the
     branches that takes its iterates once."""
-    probe = _Probe(cfg)
+    probe = StateVector(cfg.block_qubits)
+    probe.index_width = cfg.index_width
     size, step = 1 << cfg.index_width, 1 << cfg.work_qubits  # amps[i * step]: index i, work clear
     branches = np.full((1, size), 1.0 / math.sqrt(size), dtype=complex)
     for pos in range(cfg.precision):
@@ -138,7 +122,7 @@ def _powers(cfg: CountingConfig) -> np.ndarray:
             probe.amps[:] = 0.0
             probe.amps[::step] = 1.0 / math.sqrt(size)
             cfg.oracle(probe)
-            leak = work_leakage(probe, cfg.work_reg)
+            leak = work_leakage(probe)
             if leak > WORK_LEAK_ATOL:
                 raise InvariantViolation(
                     f"work qubits leaked {leak:.3e} probability after a Grover iterate"

@@ -9,13 +9,14 @@ branch i. Pads and per-round basis bits support the blinded protocol
 variants. The one constrained pad, `blind_server_pad`, is zero on the
 owner's support; every other pad is uniform `random_bits`.
 
-Oracles take padded tables; the driver builds them. `padded_table`, the
-one table builder, checks a bit vector and zero-pads it to the
-2**index_width span, so indices past the data length behave as fixed
-0 bits. Bits are fixed for a run and pads and bases for a round, so a
-table is built once per run or round, not once per gate. An oracle
-checks only that the tables of one call agree in length, before it
-touches the state; the state checks that a length fits its qubits.
+Oracles take padded tables; the driver builds them, and ux2 and ux4
+build from x and the basis table the one product each unloads with.
+`padded_table`, the one table builder, checks a bit vector and zero-pads
+it to the 2**index_width span, so indices past the data length behave
+as fixed 0 bits. Bits are fixed for a run and pads and bases for a
+round, so a table is built once per run or round, not once per gate. An
+oracle checks only that the tables of one call agree in length, before
+it touches the state; the state checks that a length fits its qubits.
 """
 from __future__ import annotations
 
@@ -165,7 +166,7 @@ def _require_clear(state, qubit, what: str):
         raise GateError(f"{what} must be |0> at entry")
 
 
-def apply_ux2(state, o1, oa, x, basis, x_off_basis, ledger=None):
+def apply_ux2(state, o1, oa, x, basis, ledger=None):
     """Extract the product phase out of the X-basis branches and clear
     the Z-basis ones.
 
@@ -174,11 +175,12 @@ def apply_ux2(state, o1, oa, x, basis, x_off_basis, ledger=None):
     the phase (-1)**(x_i y_i), after which the encoding is restored.
     Z-basis branches already carry that phase from the counterpart's
     correlation gate, so o1 is reset to |0> there with the x AND NOT r
-    table (the owner knows x and the basis draw). Without that reset the
+    table, which this stage builds from the two tables it is given (the
+    owner knows x and the basis draw). Without that reset the
     counterpart's second pass would imprint the product phase a second
     time on those branches and cancel it.
     """
-    _check_tables(x, basis, x_off_basis)
+    _check_tables(x, basis)
     _require_clear(state, oa, "scratch qubit oa")
     apply_data_oracle(state, oa, x, ledger, "Ux")
     state.h(o1, pred=basis)
@@ -187,7 +189,7 @@ def apply_ux2(state, o1, oa, x, basis, x_off_basis, ledger=None):
     state.x(o1, pred=basis)
     state.h(o1, pred=basis)
     apply_data_oracle(state, oa, x, ledger, "Ux")
-    apply_data_oracle(state, o1, x_off_basis, ledger, "Ux")
+    apply_data_oracle(state, o1, np.logical_and(x, np.logical_not(basis)), ledger, "Ux")
     _count(ledger, "UX2")
     return state
 
@@ -200,18 +202,18 @@ def apply_ux3(state, pad, ancilla, ledger=None):
     return state
 
 
-def apply_ux4(state, o1, oa, x_on_basis, basis, pad, ledger=None):
+def apply_ux4(state, o1, oa, x, basis, pad, ledger=None):
     """Remove the pad and reset o1 to |0> using the known encoding.
 
     Only X-basis branches still hold data in o1 by this point (the
     counterpart's second pass stripped their y-phase; Z-basis branches
     were cleared during the phase extraction), so the final unload uses
-    the x AND r table.
+    the x AND r table, which this stage builds from x and the basis.
     """
-    _check_tables(x_on_basis, basis, pad)
+    _check_tables(x, basis, pad)
     apply_phase_pad(state, pad, oa, ledger, "Uh")
     state.h(o1, pred=basis)
-    apply_data_oracle(state, o1, x_on_basis, ledger, "Ux")
+    apply_data_oracle(state, o1, np.logical_and(x, basis), ledger, "Ux")
     _count(ledger, "UX4")
     if state.probability(o1, 1) > 1e-12:
         raise InvariantViolation(

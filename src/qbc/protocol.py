@@ -33,8 +33,7 @@ transcript rows, once the round's oracle-call count is known.
 The oracles take padded tables, built when their bits are drawn: the
 driver builds those of x, of each client's y and of a fixed pad g once
 per run, a redrawn blind-server pad's each round, and the blind-client
-step its basis and pad tables each round; its x AND r and x AND NOT r
-tables are products of those tables, whose padding is zero.
+step its basis and pad tables each round.
 
 The counting layer runs each round once on a probe of the index + work
 block (see `qbc.counting`), `block_qubits` wide. The index register and
@@ -382,13 +381,12 @@ def run_blind_client(
         bases.append(r_bits)
         pads.append(h_bits)
         rt, ht = padded_table(r_bits, sim.n), padded_table(h_bits, sim.n)
-        x_on, x_off = xt & rt, xt & (1 - rt)
         apply_ux1(state, o1, xt, rt, ledger)
         sim.trip(state)
-        apply_ux2(state, o1, oa, xt, rt, x_off, ledger)
+        apply_ux2(state, o1, oa, xt, rt, ledger)
         apply_ux3(state, ht, oa, ledger)
         sim.trip(state)
-        apply_ux4(state, o1, oa, x_on, rt, ht, ledger)
+        apply_ux4(state, o1, oa, xt, rt, ht, ledger)
 
     run = sim.run(steps, t, return_distribution, round_hook, 0)
     run.pads = {"basis": bases, "h": pads}

@@ -147,7 +147,7 @@ def _plan(num_qubits: int, k: int, targets: tuple, controls: tuple,
 class StateVector:
     """State of `num_qubits` qubits as a dense complex amplitude vector."""
 
-    index_width = 0  # set only by the counting probe; 0 leaves the round rules vacuous
+    index_width = 0  # set only on the counting probe; 0 leaves the round rules vacuous
 
     def __init__(self, num_qubits: int, amps: np.ndarray | None = None):
         if num_qubits < 1:

@@ -218,12 +218,12 @@ def one_blind_client_round(x, y, r_bits, h_bits) -> StateVector:
     apply_data_oracle(sv, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
     apply_data_oracle(sv, o2, yt, name="Uy")
-    apply_ux2(sv, o1, oa, xt, rt, xt & (1 - rt))
+    apply_ux2(sv, o1, oa, xt, rt)
     apply_ux3(sv, ht, oa)
     apply_data_oracle(sv, o2, yt, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
     apply_data_oracle(sv, o2, yt, name="Uy")
-    apply_ux4(sv, o1, oa, xt & rt, rt, ht)
+    apply_ux4(sv, o1, oa, xt, rt, ht)
     return sv
 
 

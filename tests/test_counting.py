@@ -412,15 +412,14 @@ def test_one_work_check_per_iterate(monkeypatch):
     checks = []
     real = qbc.counting.work_leakage
 
-    def counted(state, work_reg):
-        checks.append(tuple(work_reg))
-        return real(state, work_reg)
+    def counted(probe):
+        checks.append((probe.index_width, probe.num_qubits))
+        return real(probe)
 
     monkeypatch.setattr(qbc.counting, "work_leakage", counted)
-    cfg = counting_cfg_for_table(1, 3, [1, 0])
-    counting_distribution(cfg)
-    assert checks == [cfg.work_reg] * ((1 << 3) - 1)
-    assert cfg.work_reg == (1,)
+    counting_distribution(counting_cfg_for_table(1, 3, [1, 0]))
+    # index qubit 0, work qubit 1
+    assert checks == [(1, 2)] * ((1 << 3) - 1)
 
 
 def test_work_check_trips_on_leaky_oracle():
@@ -435,8 +434,10 @@ def test_work_check_trips_on_leaky_oracle():
 def test_work_leakage_measures_hot_mass():
     sv = StateVector(2)
     sv.h(1)
-    assert abs(work_leakage(sv, [1]) - 0.5) < 1e-12
-    assert work_leakage(sv, []) == 0.0
+    sv.index_width = 1  # work qubit 1
+    assert abs(work_leakage(sv) - 0.5) < 1e-12
+    sv.index_width = 2  # no work qubits
+    assert work_leakage(sv) == 0.0
 
 
 def test_run_counting_measures_big_endian():

@@ -396,6 +396,18 @@ def test_cli_ledger_check_ignores_the_seed(capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_ledger_check_refuses_an_over_cap_sweep_before_any_row(monkeypatch, capsys):
+    # baseline N=2 reaches the cap at t=20, after rows t=1..19 that fit it
+    ran = []
+    monkeypatch.delenv("QBC_MAX_QUBITS", raising=False)
+    monkeypatch.setattr("qbc.cli.run_experiment", lambda cfg: ran.append(cfg))
+    assert main(["ledger-check", "--max-n", "3", "--max-t", "64"]) == 3
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert captured.err == ("error: simulation needs 23 qubits but the cap is 22; "
+                            "raise QBC_MAX_QUBITS to override\n")
+
+
 def test_cli_ledger_check_rows_are_run_trials(capsys):
     assert main(["ledger-check", "--max-n", "3", "--max-t", "2", "--m", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

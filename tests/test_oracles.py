@@ -53,12 +53,12 @@ def apply_blind_client_round(sv, index, o1, o2, oa, x, y, r_bits, h_bits, ledger
     apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
     apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
-    apply_ux2(sv, o1, oa, xt, rt, xt & (1 - rt), ledger=ledger)
+    apply_ux2(sv, o1, oa, xt, rt, ledger=ledger)
     apply_ux3(sv, ht, oa, ledger=ledger)
     apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
     apply_correlation_gate(sv, o1, o2, CorrelationMode.AND)
     apply_data_oracle(sv, o2, yt, ledger=ledger, name="Uy")
-    apply_ux4(sv, o1, oa, xt & rt, rt, ht, ledger=ledger)
+    apply_ux4(sv, o1, oa, xt, rt, ht, ledger=ledger)
     return sv
 
 
@@ -215,7 +215,7 @@ def test_correlation_gate_rejects_same_qubit():
     (lambda sv, t: apply_data_oracle(sv, 2, t[0]), 1),
     (lambda sv, t: apply_phase_pad(sv, t[0], 2), 1),
     (lambda sv, t: apply_ux1(sv, 2, t[0], t[1]), 2),
-    (lambda sv, t: apply_ux2(sv, 2, 3, t[0], t[1], t[2]), 3),
+    (lambda sv, t: apply_ux2(sv, 2, 3, t[0], t[1]), 2),
     (lambda sv, t: apply_ux3(sv, t[0], 3), 1),
     (lambda sv, t: apply_ux4(sv, 2, 3, t[0], t[1], t[2]), 3),
 ], ids=["data", "pad", "ux1", "ux2", "ux3", "ux4"])
@@ -327,7 +327,7 @@ def test_ux2_requires_clear_scratch():
     sv = uniform_index_state(1, 2)
     sv.x(2)  # dirty oa
     with pytest.raises(GateError, match="scratch"):
-        apply_ux2(sv, 1, 2, [1, 1], [0, 0], [1, 1])
+        apply_ux2(sv, 1, 2, [1, 1], [0, 0])
 
 
 def test_ux4_detects_mismatched_unload():

@@ -1,6 +1,7 @@
 """End-to-end protocol runs: channel ledgers, ownership, transcripts,
 blindness of the readout statistics, and estimator truth."""
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from qbc.protocol import (
     run_qbc_baseline,
     transcript_lines,
 )
-from qbc.statevector import GateError
+from qbc.statevector import DensityMatrix, GateError, trace_distance
 
 
 def tv_distance(p, q) -> float:
@@ -541,6 +542,40 @@ def test_multiparty_pad_shifts_server_view_only():
     assert run.server_view_truth == 1.0  # parity ^ g = all ones
     assert run.recovered_estimate is None
     assert run.estimate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_multiparty_client2_view_does_not_depend_on_client1_bits(monkeypatch):
+    # m=3, client 1 pads. Client 2's view is the index register and o1 as
+    # it receives them in round 1; averaged over every pad g it is the
+    # same for two y_1 whose products with x differ.
+    x, y2, y3 = [1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1]
+    held, views = [], []
+    trip, transfer = ProtocolSim.trip, ProtocolSim.transfer
+
+    def spy_trip(self, state, pad=None):
+        held[:] = [state]
+        trip(self, state, pad)
+
+    def spy_transfer(self, src, dst):
+        transfer(self, src, dst)
+        if dst == client_name(2):
+            views.append(held[0].reduced_density(list(range(self.o1 + 1))).mat)
+
+    monkeypatch.setattr(ProtocolSim, "trip", spy_trip)
+    monkeypatch.setattr(ProtocolSim, "transfer", spy_transfer)
+
+    def view(y1, pads) -> DensityMatrix:
+        views.clear()
+        for g in pads:
+            run_multiparty(x, [y1, y2, y3], 1, pad_bits=g, return_distribution=True)
+        assert len(views) == len(pads)  # one round each
+        return DensityMatrix(np.mean(views, axis=0))
+
+    every_g = [list(g) for g in itertools.product((0, 1), repeat=len(x))]
+    y1a, y1b = [1, 0, 0, 1], [0, 1, 1, 1]
+    assert trace_distance(view(y1a, every_g), view(y1b, every_g)) < 1e-12
+    # a single pad hides nothing: the two views are orthogonal pure states
+    assert trace_distance(view(y1a, every_g[:1]), view(y1b, every_g[:1])) == pytest.approx(1.0)
 
 
 def test_multiparty_validation():
