@@ -48,11 +48,18 @@ COUNTING, STATEVECTOR = "src/qbc/counting.py", "src/qbc/statevector.py"
 
 MUTANTS = [
     Mutant("client-skips-second-uy", PROTOCOL,
-           '            apply_correlation_gate(state, self.o1, work[0], self.mode)\n'
-           '            apply_data_oracle(state, work[0], y, self.ledger, "Uy")\n',
-           '            apply_correlation_gate(state, self.o1, work[0], self.mode)\n'),
+           '            apply_correlation_gate(state, self.o1, work, self.mode)\n'
+           '            apply_data_oracle(state, work, y, self.ledger, "Uy")\n',
+           '            apply_correlation_gate(state, self.o1, work, self.mode)\n'),
+    Mutant("client-pads-on-the-carrier", PROTOCOL,
+           'apply_phase_pad(state, pad, work, self.ledger, "Ug")',
+           'apply_phase_pad(state, pad, self.o1, self.ledger, "Ug")'),
     Mutant("blind-server-drops-pad", PROTOCOL,
            "        sim.one_trip(state, g_table)\n", "        sim.one_trip(state)\n"),
+    Mutant("blind-server-server-pads", PROTOCOL,
+           "        sim.one_trip(state, g_table)\n",
+           "        sim.one_trip(state)\n"
+           '        apply_phase_pad(state, g_table, sim.o1 + 1, sim.ledger, "Ug")\n'),
     Mutant("hop-counts-n-qubits", PROTOCOL,
            "self.ledger.quantum_qubits_sent += self.n + 1",
            "self.ledger.quantum_qubits_sent += self.n"),
@@ -73,12 +80,16 @@ MUTANTS = [
     Mutant("blind-client-reuses-first-pad", PROTOCOL,
            "r_bits, h_bits = draw_r(), draw_h()",
            "r_bits, h_bits = draw_r(), pads[0] if pads else draw_h()"),
+    Mutant("blind-client-applies-first-basis", PROTOCOL,
+           "padded_table(r_bits, sim.n)", "padded_table(bases[0], sim.n)"),
+    Mutant("blind-client-applies-first-pad", PROTOCOL,
+           "padded_table(h_bits, sim.n)", "padded_table(pads[0], sim.n)"),
     Mutant("blind-client-pads-client-work-qubit", PROTOCOL,
-           "apply_ux3(state, ht, oa, ledger)", "apply_ux3(state, ht, sim.work[0], ledger)",
+           "apply_ux3(state, ht, oa, ledger)", "apply_ux3(state, ht, sim.o1 + 1, ledger)",
            survives_until="item 4"),
     Mutant("multiparty-last-client-pads", PROTOCOL,
            "if pad is not None and src == SERVER:  # client 1",
-           "if pad is not None and client == list(self.clients)[-1]:"),
+           "if pad is not None and client == self.clients[-1][0]:"),
     Mutant("swap-skips-pre-check", STATEVECTOR,
            "        _plan(self.num_qubits, 0, (a, b), tuple(controls), self.index_width)\n", ""),
     Mutant("table-rule-skips-index-width-1", STATEVECTOR,

@@ -10,16 +10,17 @@ round of the baseline protocol:
     server uncomputes; the counting layer applies the diffusion.
 
 Every client does the same: its data oracle, the correlation gate and
-the oracle again, on its first work qubit. So a variant supplies its
+the oracle again, on its one work qubit. So a variant supplies its
 work-qubit owners (`work_owners`) and the server's own gates around
 `trip`, the one round trip: server -> client 1 -> ... -> client m ->
-server, with client 1 applying the variant's pad table, if any; it
-keeps only those gates and its own pad rules. Baseline, blind-server
-and multiparty share one round, `one_trip`: Ux, the trip, Ux.
-`ProtocolSim` is the one execution object. It converts the inputs to
-bits; computes their joint bits (x XOR y in XOR mode, else the parity
-of the per-client products x AND y_k) and the truth from them; lays out
-index qubits [0, n), o1 at n and the work qubits after it; keeps the
+server, with client 1 applying the variant's pad table, if any, on the
+same work qubit; it keeps only those gates and its own pad rules.
+Baseline, blind-server and multiparty share one round, `one_trip`: Ux,
+the trip, Ux. `ProtocolSim` is the one execution object. It converts
+the inputs to bits; computes their joint bits (x XOR y in XOR mode, else
+the parity of the per-client products x AND y_k) and the truth from
+them; lays out index qubits [0, n), o1 at n, one work qubit per client
+in visiting order and then blind-client's server scratch oa; keeps the
 run's rng, the block's holder, ledger and transcript; gives every pad or
 basis draw by one rule (`draw`: the caller's fixed bits, checked against
 the data length, else the variant's own draw or uniform bits from the
@@ -140,12 +141,11 @@ def transcript_lines(run: ProtocolRun) -> list[str]:
 
 def work_owners(variant: str, num_clients: int = 1) -> list[str]:
     """Holders of a variant's work qubits n+1, n+2, ... after the carrier
-    o1 = n. Runs and the qubit budget both size themselves from it."""
+    o1 = n: one per client, in visiting order, then blind-client's server
+    scratch. Runs and the qubit budget both size themselves from it."""
     client = client_name(1)
-    if variant == "baseline":
+    if variant in ("baseline", "blind-server"):
         return [client]
-    if variant == "blind-server":
-        return [client, client]
     if variant == "blind-client":
         return [client, SERVER]
     if variant == "multiparty":
@@ -178,16 +178,13 @@ class ProtocolSim:
                 self.joint ^= x & y
         self.truth = float(np.sum(self.joint)) / len(x)
         self.x_table = padded_table(x, n)
-        self.y_tables = [padded_table(y, n) for y in ys]
         holders = work_owners(variant, len(ys))
         self.o1 = n
-        self.work = list(range(n + 1, n + 1 + len(holders)))
         self.block_qubits = n + 1 + len(holders)
         self.holder = SERVER  # of the carried block: the index register and o1
-        self.clients: dict[str, list[int]] = {}  # each client's work qubits, in visiting order
-        for q, holder in zip(self.work, holders):
-            if holder != SERVER:
-                self.clients.setdefault(holder, []).append(q)
+        # (name, work qubit, y table) of each client, in visiting order
+        self.clients = [(holder, q, padded_table(y, n))
+                        for q, holder, y in zip(range(n + 1, self.block_qubits), holders, ys)]
         self.ledger = ChannelLedger()
         self.transcript: list[tuple] = []
         self._hops: list[tuple] = []  # (src, dst, qubits) of the round under way
@@ -235,16 +232,16 @@ class ProtocolSim:
     def trip(self, state, pad=None):
         """Send the index register and carrier from the server through
         clients 1..m and back. Each client runs its Uy, the correlation
-        gate and Uy on its first work qubit; client 1 then applies the pad
-        table, if given, on its last."""
+        gate and Uy on its work qubit; client 1 then applies the pad
+        table, if given, on the same qubit."""
         src = SERVER
-        for (client, work), y in zip(self.clients.items(), self.y_tables):
+        for client, work, y in self.clients:
             self.transfer(src, client)
-            apply_data_oracle(state, work[0], y, self.ledger, "Uy")
-            apply_correlation_gate(state, self.o1, work[0], self.mode)
-            apply_data_oracle(state, work[0], y, self.ledger, "Uy")
+            apply_data_oracle(state, work, y, self.ledger, "Uy")
+            apply_correlation_gate(state, self.o1, work, self.mode)
+            apply_data_oracle(state, work, y, self.ledger, "Uy")
             if pad is not None and src == SERVER:  # client 1
-                apply_phase_pad(state, pad, work[-1], self.ledger, "Ug")
+                apply_phase_pad(state, pad, work, self.ledger, "Ug")
             src = client
         self.transfer(src, SERVER)
 
@@ -374,7 +371,8 @@ def run_blind_client(
     draw_h = sim.draw(force_pad, "force_pad")
     bases: list[np.ndarray] = []
     pads: list[np.ndarray] = []
-    o1, oa, ledger, xt = sim.o1, sim.work[-1], sim.ledger, sim.x_table
+    # the server's scratch oa is the block's last qubit, after client 1's
+    o1, oa, ledger, xt = sim.o1, sim.block_qubits - 1, sim.ledger, sim.x_table
 
     def steps(state):
         r_bits, h_bits = draw_r(), draw_h()

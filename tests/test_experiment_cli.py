@@ -127,7 +127,7 @@ def test_derive_rng_streams_are_stable_and_distinct():
 
 def test_qubit_budgets():
     assert qubit_budget("baseline", 3, 4) == 9
-    assert qubit_budget("blind-server", 3, 4) == 10
+    assert qubit_budget("blind-server", 3, 4) == 9
     assert qubit_budget("blind-client", 3, 4) == 10
     assert qubit_budget("multiparty", 3, 4, num_clients=3) == 11
     with pytest.raises(GateError):

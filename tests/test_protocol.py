@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbc.oracles
+import qbc.protocol
 from qbc.counting import phase_estimation_distribution
 from qbc.ledger import ChannelLedger, expected_ledger
-from qbc.oracles import CorrelationMode, random_bits
+from qbc.oracles import CorrelationMode, padded_table, random_bits
 from qbc.protocol import (
     SERVER,
     OwnershipError,
@@ -50,6 +51,24 @@ def all_pairs(num: int):
             x = [(xi >> k) & 1 for k in range(num)]
             y = [(yi >> k) & 1 for k in range(num)]
             yield x, y
+
+
+def capture_hops(monkeypatch, on_hop):
+    """Call on_hop(sim, dst, state) after each transfer of the index
+    register and carrier, with the state as dst receives it."""
+    held = []
+    trip, transfer = ProtocolSim.trip, ProtocolSim.transfer
+
+    def spy_trip(self, state, pad=None):
+        held[:] = [state]
+        trip(self, state, pad)
+
+    def spy_transfer(self, src, dst):
+        transfer(self, src, dst)
+        on_hop(self, dst, held[0])
+
+    monkeypatch.setattr(ProtocolSim, "trip", spy_trip)
+    monkeypatch.setattr(ProtocolSim, "transfer", spy_transfer)
 
 
 # -- predicate tables ----------------------------------------------------------
@@ -342,6 +361,33 @@ def test_blind_server_forced_pad_validation():
         run_blind_server([1, 0], [1, 0], 2)
 
 
+@pytest.mark.parametrize("num", [4, 5, 8])
+def test_blind_server_returns_the_padded_product_phase_to_the_server(monkeypatch, num):
+    # round 1's block as the server receives it back, with x still on o1:
+    # sum_i (-1)^(x_i y_i XOR g_i) |i>|x_i>|0...> / sqrt(2^n), so the
+    # server never holds the bare product phase; padding indices read +1
+    returned = []
+
+    def on_hop(sim, dst, state):
+        if dst == SERVER and sim.round_index == 1:
+            returned.append((sim, state.amps.copy()))
+
+    capture_hops(monkeypatch, on_hop)
+    rng = np.random.default_rng([26, num])
+    for _ in range(3):
+        x, y = random_bits(num, rng), random_bits(num, rng)
+        for g in (np.zeros(num, np.uint8), 1 - y, random_bits(num, rng) & (1 - y)):
+            returned.clear()
+            run_blind_server(x, y, 1, pad_bits=g, return_distribution=True)
+            ((sim, amps),) = returned
+            size, below_o1 = 1 << sim.n, sim.block_qubits - sim.o1 - 1
+            want = np.zeros_like(amps)
+            for i in range(size):
+                xi, phase = (int(x[i]), int((x[i] & y[i]) ^ g[i])) if i < num else (0, 0)
+                want[((i << 1) | xi) << below_o1] = (-1) ** phase / math.sqrt(size)
+            assert np.max(np.abs(amps - want)) < 1e-12, (x, y, g)
+
+
 def test_blind_server_per_round_pads_are_recorded_per_round():
     rng = np.random.default_rng(13)
     t = 3
@@ -423,6 +469,32 @@ def test_blind_client_work_qubits_clear_after_every_round():
     )
     assert len(leaks) == 15
     assert max(leaks) < 1e-12
+
+
+def test_blind_client_applies_each_rounds_recorded_draws(monkeypatch):
+    # round r's basis table goes to ux1 and its pad table to ux3, each
+    # built from the bits run.pads records for round r
+    applied = {"basis": [], "h": []}
+    ux1, ux3 = qbc.protocol.apply_ux1, qbc.protocol.apply_ux3
+
+    def spy_ux1(state, o1, x, basis, ledger=None):
+        applied["basis"].append(basis.copy())
+        return ux1(state, o1, x, basis, ledger)
+
+    def spy_ux3(state, pad, ancilla, ledger=None):
+        applied["h"].append(pad.copy())
+        return ux3(state, pad, ancilla, ledger)
+
+    monkeypatch.setattr(qbc.protocol, "apply_ux1", spy_ux1)
+    monkeypatch.setattr(qbc.protocol, "apply_ux3", spy_ux3)
+    rng = np.random.default_rng(27)
+    num, t = 6, 3
+    run = run_blind_client(random_bits(num, rng), random_bits(num, rng), t, rng=rng,
+                           return_distribution=True)
+    for key in ("basis", "h"):
+        assert len(applied[key]) == len(run.pads[key]) == (1 << t) - 1
+        for r, (table, bits) in enumerate(zip(applied[key], run.pads[key])):
+            assert np.array_equal(table, padded_table(bits, run.index_width)), (key, r)
 
 
 def test_blind_client_records_each_rounds_draws_as_bit_arrays():
@@ -549,20 +621,13 @@ def test_multiparty_client2_view_does_not_depend_on_client1_bits(monkeypatch):
     # it receives them in round 1; averaged over every pad g it is the
     # same for two y_1 whose products with x differ.
     x, y2, y3 = [1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1]
-    held, views = [], []
-    trip, transfer = ProtocolSim.trip, ProtocolSim.transfer
+    views = []
 
-    def spy_trip(self, state, pad=None):
-        held[:] = [state]
-        trip(self, state, pad)
-
-    def spy_transfer(self, src, dst):
-        transfer(self, src, dst)
+    def on_hop(sim, dst, state):
         if dst == client_name(2):
-            views.append(held[0].reduced_density(list(range(self.o1 + 1))).mat)
+            views.append(state.reduced_density(list(range(sim.o1 + 1))).mat)
 
-    monkeypatch.setattr(ProtocolSim, "trip", spy_trip)
-    monkeypatch.setattr(ProtocolSim, "transfer", spy_transfer)
+    capture_hops(monkeypatch, on_hop)
 
     def view(y1, pads) -> DensityMatrix:
         views.clear()
