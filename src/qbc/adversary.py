@@ -97,15 +97,22 @@ def _row_blocks(trials: int, cols: int):
 # -- probe attack on the carrier qubit --------------------------------------
 
 
-def _probe_round_quantum(y, rng) -> tuple[int, int]:
-    """One live probe: a uniform index and a |+> carrier through the
-    honest client's block (the round trip of a baseline run whose x is
-    all zero), then Z on the index and X on the carrier."""
+def _probe_return(y) -> tuple[ProtocolSim, StateVector]:
+    """The live probe's round trip: a uniform index and a |+> carrier
+    through the honest client's block (the round trip of a baseline run
+    whose x is all zero), as the probing party gets them back."""
     sim = ProtocolSim("baseline", np.zeros(len(y), dtype=np.uint8), [y])
     sv = StateVector(sim.block_qubits)
     for q in range(sim.o1 + 1):  # the index register and o1
         sv.h(q)
     sim.trip(sv)
+    return sim, sv
+
+
+def _probe_round_quantum(y, rng) -> tuple[int, int]:
+    """One live probe: its returned state, then Z on the index and X on
+    the carrier."""
+    sim, sv = _probe_return(y)
     j = 0
     for q in range(sim.n):
         j = (j << 1) | sv.measure(q, rng)
@@ -268,34 +275,19 @@ def holevo_quantity(y) -> float:
     returns as (|0> + (-1)^{y_i}|1>)/sqrt(2) tagged by the measured index,
     so the ensemble average is block-pure and the bound is log2 N.
 
-    Built by purifying against an index copy and tracing it out; N must
-    be a power of two.
+    Read from the live probe's returned state, whose index row i with
+    the work qubit clear is |a_i>/sqrt(N); N must be a power of two.
     """
     y = as_bits(y)
     num = len(y)
     if num < 2 or num & (num - 1):
         raise GateError("ensemble construction needs N a power of two, N >= 2")
-    n = index_width_for(num)
-    index = list(range(n))
-    copy = list(range(n, 2 * n))
-    o1 = 2 * n
-    sv = StateVector(2 * n + 1)
-    for q in index:
-        sv.h(q)
-    for a, b in zip(index, copy):
-        sv.cnot(a, b)
-    sv.h(o1)
-    sv.z(o1, pred=y)
-    rho = sv.reduced_density(index + [o1])
-    avg_entropy = 0.0
-    for yi in y:
-        carrier = StateVector(1)
-        carrier.h(0)
-        if yi:
-            carrier.z(0)
-        avg_entropy += von_neumann_entropy(carrier.reduced_density([0]))
-    avg_entropy /= num
-    return von_neumann_entropy(rho) - avg_entropy
+    _, sv = _probe_return(y)
+    rows = sv.amps.reshape(num, 2, -1)[:, :, 0]  # a work qubit left set loses trace here
+    rho = np.einsum("ij,ia,jb->iajb", np.eye(num), rows, rows.conj()).reshape(2 * num, -1)
+    members = sum(von_neumann_entropy(DensityMatrix(num * np.outer(a, a.conj())))
+                  for a in rows) / num
+    return von_neumann_entropy(DensityMatrix(rho)) - members
 
 
 # -- recovery and overlap probabilities ---------------------------------------

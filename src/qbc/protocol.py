@@ -17,7 +17,8 @@ server, with client 1 applying the variant's pad table, if any, on the
 same work qubit; it keeps only those gates and its own pad rules.
 Baseline, blind-server and multiparty share one round, `one_trip`: Ux,
 the trip, Ux. `ProtocolSim` is the one execution object. It converts
-the inputs to bits; computes their joint bits (x XOR y in XOR mode, else
+the inputs to bits, exactly one client vector for a two-party variant
+and at least one for multiparty; computes their joint bits (x XOR y in XOR mode, else
 the parity of the per-client products x AND y_k) and the truth from
 them; lays out index qubits [0, n), o1 at n, one work qubit per client
 in visiting order and then blind-client's server scratch oa; keeps the
@@ -168,6 +169,10 @@ class ProtocolSim:
         self.mode = mode
         self.rng = rng
         self.n = n = index_width_for(len(x))
+        holders = work_owners(variant, len(ys))
+        if not ys or len(ys) > 1 and variant != "multiparty":
+            takes = "at least 1" if variant == "multiparty" else "exactly 1"
+            raise GateError(f"{variant} takes {takes} client vector, got {len(ys)}")
         if any(len(y) != len(x) for y in ys):
             raise GateError("client vectors must match the server length")
         if mode is CorrelationMode.XOR:
@@ -178,7 +183,6 @@ class ProtocolSim:
                 self.joint ^= x & y
         self.truth = float(np.sum(self.joint)) / len(x)
         self.x_table = padded_table(x, n)
-        holders = work_owners(variant, len(ys))
         self.o1 = n
         self.block_qubits = n + 1 + len(holders)
         self.holder = SERVER  # of the carried block: the index register and o1

@@ -8,7 +8,10 @@ parameters, ...). It checks grammar only, not library calls.
 The mutant step (`ci/mutants.py`) runs the whole suite once per mutant,
 so it stays out of tier-1; tier-1 checks only that each mutant's old
 text occurs exactly once, so a refactor cannot turn a mutant into a
-no-op.
+no-op, and that the test each killed mutant names exists.
+
+The speed-record step (`ci/check_speed_records.py`) reads the checked-in
+records and a copy of one that lacks a parent median.
 
 The traced-count step (`ci/check_trace.py`) needs a traced perfbench
 run; here it reads hand-written traces, one holding the pinned seed-0
@@ -45,6 +48,33 @@ def test_every_mutant_old_text_occurs_once():
     spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
     assert mutants.text_problems() == []
+
+
+RECORDS = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+
+
+def check_speed_records(cwd):
+    return subprocess.run([sys.executable, str(ROOT / "ci" / "check_speed_records.py")],
+                          cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_check_speed_records_passes_the_checked_in_records():
+    assert len(RECORDS) == 3
+    done = check_speed_records(ROOT)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == RECORDS
+
+
+def test_check_speed_records_refuses_a_record_without_a_parent_median(tmp_path):
+    record = json.loads((ROOT / RECORDS[0]).read_text())
+    workload, entry = next(iter(record["workloads"].items()))
+    metric, row = next(iter(entry["summary"].items()))
+    del row["parent"]["median"]
+    (tmp_path / RECORDS[0]).write_text(json.dumps(record))
+    done = check_speed_records(tmp_path)
+    assert done.returncode != 0
+    lines = done.stderr.splitlines()
+    assert lines == [f"error: {RECORDS[0]}: {workload} {metric} lacks a parent median"]
 
 
 # the seed-0 traced exact-laws values that the CI step pins

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qbc.oracles
 import qbc.protocol
+from qbc.adversary import blind_client_carrier_state
 from qbc.counting import phase_estimation_distribution
 from qbc.ledger import ChannelLedger, expected_ledger
 from qbc.oracles import CorrelationMode, padded_table, random_bits
@@ -147,6 +148,21 @@ def test_baseline_scales_for_non_power_of_two():
 def test_length_mismatch_rejected():
     with pytest.raises(GateError):
         run_qbc_baseline([1, 0], [1, 0, 1], 2, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("variant,count,takes", [
+    ("baseline", 2, "exactly 1"),  # else the trip runs y1 alone, the truth both products
+    ("blind-client", 2, "exactly 1"),  # else y2 would ride on the server's scratch qubit
+    ("blind-server", 2, "exactly 1"),
+    ("baseline", 0, "exactly 1"),
+    ("multiparty", 0, "at least 1"),
+])
+def test_protocol_sim_refuses_a_client_count_its_variant_does_not_take(variant, count, takes):
+    ys = [[1, 1, 0, 0], [1, 0, 0, 0]][:count]
+    with pytest.raises(GateError) as err:
+        ProtocolSim(variant, [1, 1, 1, 1], ys)
+    assert str(err.value) == f"{variant} takes {takes} client vector, got {count}"
+    assert ProtocolSim("multiparty", [1, 1, 1, 1], [[1, 1, 0, 0]]).truth == 0.5
 
 
 def test_sampling_without_rng_rejected():
@@ -495,6 +511,42 @@ def test_blind_client_applies_each_rounds_recorded_draws(monkeypatch):
         assert len(applied[key]) == len(run.pads[key]) == (1 << t) - 1
         for r, (table, bits) in enumerate(zip(applied[key], run.pads[key])):
             assert np.array_equal(table, padded_table(bits, run.index_width)), (key, r)
+
+
+def test_blind_client_hops_match_the_hand_built_carrier_states(monkeypatch):
+    # the client's o1 state given index i, from the protocol's own gates
+    # (N=8, t=1): at its first receipt, averaged over the basis r, the
+    # hand-built carrier that every `qbc attack` output reports; at its
+    # second, averaged over r and the pad h, 1/2|0><0| + 1/2 H|x_i^y_i><x_i^y_i|H.
+    # Branch i's o1 state depends only on r_i and h_i, so all-zero and
+    # all-one draws cover every per-index case.
+    x, y = [0, 1, 0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 1, 0, 1, 0]
+    receipts = []  # o1 given each index, (8, 2, 2), at each of the client's receipts
+
+    def on_hop(sim, dst, state):
+        if dst == client_name(1):
+            branches = state.amps.reshape(1 << sim.n, 2, -1)
+            receipts.append((1 << sim.n) * np.einsum("iak,ibk->iab", branches, branches.conj()))
+
+    capture_hops(monkeypatch, on_hop)
+    draws = [np.zeros(8, np.uint8), np.ones(8, np.uint8)]
+    for r, h in itertools.product(draws, draws):
+        run_blind_client(x, y, 1, force_basis=r, force_pad=h, return_distribution=True)
+    assert len(receipts) == 8  # two receipts in each run's one round
+    first, second = np.mean(receipts[0::2], axis=0), np.mean(receipts[1::2], axis=0)
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        assert np.max(np.abs(first[i] - blind_client_carrier_state(xi).mat)) < 1e-12, i
+        column = hadamard[:, xi ^ yi]
+        want = 0.5 * np.diag([1, 0]) + 0.5 * np.outer(column, column)
+        assert np.max(np.abs(second[i] - want)) < 1e-12, i
+    # x_i = 0 against x_i = 1 for a fixed y_i: 1/sqrt(2) apart at the first
+    # receipt, 1/2 at the second
+    for yi in (0, 1):
+        a, b = (next(i for i in range(8) if (x[i], y[i]) == (xi, yi)) for xi in (0, 1))
+        for views, want in ((first, 1 / math.sqrt(2)), (second, 0.5)):
+            distance = trace_distance(DensityMatrix(views[a]), DensityMatrix(views[b]))
+            assert distance == pytest.approx(want, abs=1e-12), yi
 
 
 def test_blind_client_records_each_rounds_draws_as_bit_arrays():
